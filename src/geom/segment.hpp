@@ -31,9 +31,27 @@ using Path = std::vector<Point>;
 /// Total L1 length of a path in um.
 double path_length(const Path& path);
 
-/// Splits a path into its axis-parallel segments, dropping degenerate ones.
-/// Diagonal links (which only a buggy router would produce) are decomposed
-/// into an L: horizontal first, then vertical.
+/// Calls fn(segment) for each axis-parallel segment of a path, in order,
+/// dropping degenerate ones. Diagonal links (which only a buggy router would
+/// produce) are decomposed into an L: horizontal first, then vertical.
+template <typename Fn>
+void for_each_segment(const Path& path, Fn&& fn) {
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const Point a = path[i - 1];
+    const Point b = path[i];
+    if (a == b) continue;
+    const Segment s{a, b};
+    if (s.axis_parallel()) {
+      fn(s);
+    } else {
+      const Point corner{b.x, a.y};
+      fn(Segment{a, corner});
+      fn(Segment{corner, b});
+    }
+  }
+}
+
+/// The segments for_each_segment visits, collected into a vector.
 std::vector<Segment> path_segments(const Path& path);
 
 /// Builds an L-shaped path from `a` to `b`. If `horizontal_first` the path

@@ -1,5 +1,6 @@
 #include "io/design_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <stdexcept>
@@ -59,9 +60,23 @@ namespace {
                            what);
 }
 
-}  // namespace
+/// Reads one number that is a physical value: nan and inf are rejected
+/// like a malformed token, so no non-finite value reaches the flow.
+bool next_finite(Tokenizer& ls, double& out) {
+  return ls.next_double(out) && std::isfinite(out);
+}
 
-namespace {
+/// Reads a constraint that must be a finite, strictly positive number.
+double positive_constraint(Tokenizer& ls, const std::string& source,
+                           int line_no, std::string_view key) {
+  double v = 0.0;
+  if (!next_finite(ls, v) || v <= 0.0) {
+    design_error(source, line_no,
+                 "bad " + std::string(key) +
+                     " (want a finite number > 0)");
+  }
+  return v;
+}
 
 /// The one design parser: both the istream entry point and the chunked
 /// file path feed it lines, so diagnostics and semantics cannot diverge.
@@ -90,45 +105,38 @@ netlist::Design read_design_lines(LineSource& src, const std::string& source) {
       if (ls.next(name)) d.name = std::string(name);
     } else if (key == "core") {
       double x0, y0, x1, y1;
-      if (!ls.next_double(x0) || !ls.next_double(y0) || !ls.next_double(x1) ||
-          !ls.next_double(y1)) {
+      if (!next_finite(ls, x0) || !next_finite(ls, y0) ||
+          !next_finite(ls, x1) || !next_finite(ls, y1)) {
         design_error(source, line_no, "bad core");
       }
       d.core = geom::BBox(x0, y0, x1, y1);
       have_core = true;
     } else if (key == "clock_root") {
-      if (!ls.next_double(d.clock_root.x) ||
-          !ls.next_double(d.clock_root.y)) {
+      if (!next_finite(ls, d.clock_root.x) ||
+          !next_finite(ls, d.clock_root.y)) {
         design_error(source, line_no, "bad clock_root");
       }
     } else if (key == "clock_freq_ghz") {
-      double v;
-      if (!ls.next_double(v)) design_error(source, line_no,
-                                           "bad clock_freq_ghz");
-      d.constraints.clock_freq = v * units::GHz;
+      d.constraints.clock_freq =
+          positive_constraint(ls, source, line_no, key) * units::GHz;
     } else if (key == "max_slew_ps") {
-      double v;
-      if (!ls.next_double(v)) design_error(source, line_no, "bad max_slew_ps");
-      d.constraints.max_slew = v * units::ps;
+      d.constraints.max_slew =
+          positive_constraint(ls, source, line_no, key) * units::ps;
     } else if (key == "max_skew_ps") {
-      double v;
-      if (!ls.next_double(v)) design_error(source, line_no, "bad max_skew_ps");
-      d.constraints.max_skew = v * units::ps;
+      d.constraints.max_skew =
+          positive_constraint(ls, source, line_no, key) * units::ps;
     } else if (key == "max_uncertainty_ps") {
-      double v;
-      if (!ls.next_double(v)) {
-        design_error(source, line_no, "bad max_uncertainty_ps");
-      }
-      d.constraints.max_uncertainty = v * units::ps;
+      d.constraints.max_uncertainty =
+          positive_constraint(ls, source, line_no, key) * units::ps;
     } else if (key == "congestion") {
       if (!ls.next_int(cong_nx) || !ls.next_int(cong_ny) ||
-          !ls.next_double(cong_occ) || !ls.next_double(cong_cap)) {
+          !next_finite(ls, cong_occ) || !next_finite(ls, cong_cap)) {
         design_error(source, line_no, "bad congestion");
       }
     } else if (key == "occupancy_cell") {
       int idx;
       double v;
-      if (!ls.next_int(idx) || !ls.next_double(v)) {
+      if (!ls.next_int(idx) || !next_finite(ls, v)) {
         design_error(source, line_no, "bad occupancy_cell");
       }
       occ_cells.emplace_back(idx, v);
@@ -136,9 +144,14 @@ netlist::Design read_design_lines(LineSource& src, const std::string& source) {
       netlist::Sink s;
       std::string_view name;
       double cap_ff;
-      if (!ls.next(name) || !ls.next_double(s.loc.x) ||
-          !ls.next_double(s.loc.y) || !ls.next_double(cap_ff)) {
+      if (!ls.next(name) || !next_finite(ls, s.loc.x) ||
+          !next_finite(ls, s.loc.y) || !next_finite(ls, cap_ff)) {
         design_error(source, line_no, "bad sink");
+      }
+      if (cap_ff < 0.0) {
+        design_error(source, line_no,
+                     "bad sink (negative pin cap " + std::to_string(cap_ff) +
+                         " fF)");
       }
       s.name = std::string(name);
       s.pin_cap = cap_ff * units::fF;
@@ -146,7 +159,7 @@ netlist::Design read_design_lines(LineSource& src, const std::string& source) {
     } else if (key == "window") {
       int idx;
       double lo, hi;
-      if (!ls.next_int(idx) || !ls.next_double(lo) || !ls.next_double(hi)) {
+      if (!ls.next_int(idx) || !next_finite(ls, lo) || !next_finite(ls, hi)) {
         design_error(source, line_no, "bad window");
       }
       windows.emplace_back(idx, lo * units::ps, hi * units::ps);

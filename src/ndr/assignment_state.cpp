@@ -11,6 +11,33 @@
 
 namespace sndr::ndr {
 
+namespace {
+
+/// Sum of sinks [b*kLatencyBlock, ...) of one block, left to right.
+double block_latency_sum(const std::vector<double>& latency, int b) {
+  const std::size_t lo = static_cast<std::size_t>(b) * kLatencyBlock;
+  const std::size_t hi =
+      std::min(latency.size(), lo + static_cast<std::size_t>(kLatencyBlock));
+  double sum = 0.0;
+  for (std::size_t s = lo; s < hi; ++s) sum += latency[s];
+  return sum;
+}
+
+/// The two-level latency sum: per-block sums into `blocks`, then the block
+/// sums left to right. The one definition rebuild() and its debug check use.
+double blocked_latency_sum(const std::vector<double>& latency,
+                           std::vector<double>& blocks) {
+  const int n_blocks = static_cast<int>(
+      (latency.size() + kLatencyBlock - 1) / kLatencyBlock);
+  blocks.resize(n_blocks);
+  for (int b = 0; b < n_blocks; ++b) {
+    blocks[b] = block_latency_sum(latency, b);
+  }
+  return std::accumulate(blocks.begin(), blocks.end(), 0.0);
+}
+
+}  // namespace
+
 AssignmentState::AssignmentState(const netlist::ClockTree& tree,
                                  const netlist::Design& design,
                                  const tech::Technology& tech,
@@ -51,6 +78,8 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
       node = tree.node(node).parent;
     }
   }
+
+  block_is_dirty_.assign((n_sinks + kLatencyBlock - 1) / kLatencyBlock, 0);
 
   win_lo_.resize(n_sinks);
   win_hi_.resize(n_sinks);
@@ -124,17 +153,19 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
     assert(delta_.sink_arrival() == ev.timing.sink_arrival);
     assert(delta_.node_arrival() == ev.timing.node_arrival);
     assert(delta_.node_slew() == ev.timing.node_slew);
-    assert(latency_sum_ == std::accumulate(ev.timing.sink_arrival.begin(),
-                                           ev.timing.sink_arrival.end(),
-                                           0.0));
-    double cap_check = 0.0;
+    std::vector<double> blocks_check;
+    assert(latency_sum_ ==
+           blocked_latency_sum(ev.timing.sink_arrival, blocks_check));
+    assert(block_sum_ == blocks_check);
     for (const netlist::Net& net : nets_->nets) {
       assert(nets_state_[net.id].cap == ev.power.net_switched_cap[net.id]);
       assert(nets_state_[net.id].sigma == ev.variation.net_sigma[net.id]);
       assert(nets_state_[net.id].xtalk == ev.variation.net_xtalk[net.id]);
-      cap_check += ev.power.net_switched_cap[net.id];
     }
-    assert(total_cap_ == cap_check);
+    assert(usage_.quanta() ==
+           route::compute_usage(*tree_, *nets_, assignment_, *tech_,
+                                design_->congestion)
+               .quanta());
     for (int s = 0; s < static_cast<int>(design_->sinks.size()); ++s) {
       double var = 0.0;
       double xt = 0.0;
@@ -150,8 +181,7 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
   assignment_ = assignment;
   const int n_sinks = static_cast<int>(design_->sinks.size());
   sink_latency_ = ev.timing.sink_arrival;
-  latency_sum_ = std::accumulate(sink_latency_.begin(), sink_latency_.end(),
-                                 0.0);
+  latency_sum_ = blocked_latency_sum(sink_latency_, block_sum_);
   sink_var_.assign(n_sinks, 0.0);
   sink_xtalk_.assign(n_sinks, 0.0);
   for (int s = 0; s < n_sinks; ++s) {
@@ -168,13 +198,9 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
   // loop below).
   delta_.rebuild(ev.parasitics, ev.timing);
 
-  total_cap_ = 0.0;
-  total_energy_ = 0.0;
   for (const netlist::Net& net : nets_->nets) {
     NetState& st = nets_state_[net.id];
     st.cap = ev.power.net_switched_cap[net.id];
-    total_cap_ += st.cap;
-    total_energy_ += net_weight_[net.id] * st.cap;
     st.sigma = ev.variation.net_sigma[net.id];
     st.xtalk = ev.variation.net_xtalk[net.id];
     const double driver_res =
@@ -191,6 +217,20 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
 
   usage_ = route::compute_usage(*tree_, *nets_, assignment_, *tech_,
                                 design_->congestion);
+}
+
+double AssignmentState::total_cap() const {
+  double sum = 0.0;
+  for (const netlist::Net& net : nets_->nets) sum += nets_state_[net.id].cap;
+  return sum;
+}
+
+double AssignmentState::total_energy() const {
+  double sum = 0.0;
+  for (const netlist::Net& net : nets_->nets) {
+    sum += net_weight_[net.id] * nets_state_[net.id].cap;
+  }
+  return sum;
 }
 
 double AssignmentState::slew_at_loads(int net_id, double step_slew) const {
@@ -214,13 +254,11 @@ bool AssignmentState::check_move(int net_id, int rule_idx,
     return false;
   }
   const double width_frac = tech_->clock_layer.width_frac();
-  const double d_pitch =
-      rule.pitch_mult(width_frac) -
+  const double old_pitch =
       tech_->rules[assignment_[net_id]].pitch_mult(width_frac);
-  if (d_pitch > 0.0) {
-    for (const geom::Path& p : st.paths) {
-      if (!usage_.fits(p, d_pitch)) return false;
-    }
+  const double new_pitch = rule.pitch_mult(width_frac);
+  if (new_pitch > old_pitch && !usage_.fits(st.paths, old_pitch, new_pitch)) {
+    return false;
   }
 
   const double d_delay = impact.delay - st.wire_delay;
@@ -249,11 +287,13 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
                                  const NetExact& exact) {
   NetState& st = nets_state_[net_id];
   const double width_frac = tech_->clock_layer.width_frac();
-  const double d_pitch =
-      tech_->rules[rule_idx].pitch_mult(width_frac) -
+  const double old_pitch =
       tech_->rules[assignment_[net_id]].pitch_mult(width_frac);
-  if (d_pitch != 0.0) {
-    for (const geom::Path& p : st.paths) usage_.add(p, d_pitch);
+  const double new_pitch = tech_->rules[rule_idx].pitch_mult(width_frac);
+  if (new_pitch != old_pitch) {
+    for (const geom::Path& p : st.paths) {
+      usage_.move(p, old_pitch, new_pitch);
+    }
   }
 
   // Exact incremental timing: re-materialize the net's parasitics under
@@ -291,6 +331,11 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
   const std::vector<double>& arrival = delta_.sink_arrival();
   for (const int s : sinks_under_[net_id]) {
     sink_latency_[s] = arrival[s];
+    const int b = s / kLatencyBlock;
+    if (!block_is_dirty_[b]) {
+      block_is_dirty_[b] = 1;
+      dirty_blocks_.push_back(b);
+    }
     double var = 0.0;
     double xt = 0.0;
     for (const int net : nets_on_path_[s]) {
@@ -301,14 +346,12 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
     sink_var_[s] = var;
     sink_xtalk_[s] = xt;
   }
-  latency_sum_ = std::accumulate(sink_latency_.begin(), sink_latency_.end(),
-                                 0.0);
-  total_cap_ = 0.0;
-  total_energy_ = 0.0;
-  for (const netlist::Net& net : nets_->nets) {
-    total_cap_ += nets_state_[net.id].cap;
-    total_energy_ += net_weight_[net.id] * nets_state_[net.id].cap;
+  for (const int b : dirty_blocks_) {
+    block_sum_[b] = block_latency_sum(sink_latency_, b);
+    block_is_dirty_[b] = 0;
   }
+  dirty_blocks_.clear();
+  latency_sum_ = std::accumulate(block_sum_.begin(), block_sum_.end(), 0.0);
 }
 
 void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {

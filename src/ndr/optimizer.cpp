@@ -48,15 +48,11 @@ class Optimizer {
  private:
   FlowEvaluation full_eval(const RuleAssignment& assignment) {
     ++stats_.full_evals;
-    // Resyncs share the state's geometry cache: the tree and congestion
-    // map never change during a run, only the rule assignment does.
+    // Full evaluations share the state's geometry cache: the tree and
+    // congestion map never change during a run, only the rule assignment
+    // does.
     return evaluate(tree_, design_, tech_, nets_, assignment, opt_.analysis,
                     &state_.geometry_cache());
-  }
-
-  void resync(const RuleAssignment& assignment) {
-    const FlowEvaluation ev = full_eval(assignment);
-    state_.rebuild(assignment, ev);
   }
 
   /// Tries to move `net_id` to the cheapest feasible rule; returns true on
@@ -89,13 +85,11 @@ class Optimizer {
 };
 
 void Optimizer::commit(int net_id, int rule_idx, const NetExact& exact) {
+  // apply_move is exact (bitwise equal to a rebuild), so the greedy loop
+  // never re-synchronizes against a full evaluation.
   state_.apply_move(net_id, rule_idx, exact);
   assignment_[net_id] = rule_idx;
   ++stats_.commits;
-  if (opt_.full_refresh_interval > 0 &&
-      stats_.commits % opt_.full_refresh_interval == 0) {
-    resync(assignment_);
-  }
 }
 
 bool Optimizer::improve_net(int net_id) {

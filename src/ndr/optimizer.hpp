@@ -15,9 +15,12 @@
 //
 // Candidate scoring uses the learned per-rule models (plus exact analytic
 // capacitance and EM bounds); a commit is validated with an exact per-net
-// re-extraction, and periodic full analyses re-synchronize the incremental
-// state. `use_models = false` degenerates to exact re-extraction scoring,
-// which is the slow flow the paper compares against.
+// re-extraction and applied incrementally in O(affected) — the moved net,
+// its descendant subtree and the sinks under it — with the incremental
+// state bitwise equal to a full re-analysis, so full evaluations run only
+// at the start, in repair and at the final signoff. `use_models = false`
+// degenerates to exact re-extraction scoring, which is the slow flow the
+// paper compares against.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +74,6 @@ struct OptimizerOptions {
   std::size_t geometry_budget_bytes = 0;
 
   int max_passes = 4;          ///< greedy sweeps until quiescence.
-  int full_refresh_interval = 256;  ///< exact full re-analysis cadence.
   int max_repair_rounds = 8;
 
   // ECO / incremental mode. A warm start re-optimizes from a previous
@@ -127,6 +129,8 @@ struct OptimizerStats {
   int commits = 0;
   int candidates_scored = 0;
   int exact_net_evals = 0;  ///< exact_eval calls (cache hits included).
+  /// Whole-tree evaluations: start, repair rounds and the final signoff
+  /// (plus one per candidate under Scoring::kFullSta).
   int full_evals = 0;
   int repair_upgrades = 0;
   int passes = 0;

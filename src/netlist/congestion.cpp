@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace sndr::netlist {
+
+namespace {
+
+/// a += b on usage quanta; throws instead of overflowing.
+void add_quanta(std::int64_t& a, std::int64_t b) {
+  if (__builtin_add_overflow(a, b, &a)) {
+    throw std::overflow_error("routing usage out of fixed-point range");
+  }
+}
+
+}  // namespace
 
 CongestionMap::CongestionMap(geom::BBox area, int nx, int ny, double occupancy,
                              double capacity_per_cell)
@@ -65,33 +75,19 @@ double CongestionMap::avg_occupancy(const geom::Path& path) const {
   return weighted / len;
 }
 
-void CongestionMap::for_each_cell(
-    const geom::Path& path,
-    const std::function<void(int, double)>& fn) const {
-  const double cw = area_.width() / nx_;
-  const double ch = area_.height() / ny_;
-  for (const geom::Segment& seg : geom::path_segments(path)) {
-    const double len = seg.length();
-    if (len <= 0.0) continue;
-    // Walk the segment in sub-steps no longer than half a cell dimension;
-    // attribute each sub-step's length to the cell of its midpoint. Exact
-    // for axis-parallel segments up to the step quantization.
-    const double step_limit = 0.5 * (seg.horizontal() ? cw : ch);
-    const int steps =
-        std::max(1, static_cast<int>(std::ceil(len / std::max(step_limit,
-                                                              1e-9))));
-    const double dl = len / steps;
-    for (int i = 0; i < steps; ++i) {
-      const double t = (i + 0.5) / steps;
-      fn(cell_index(geom::lerp(seg.a, seg.b, t)), dl);
-    }
-  }
-}
-
 void RoutingUsage::add(const geom::Path& path, double pitch_mult) {
   if (map_ == nullptr || !map_->valid()) return;
   map_->for_each_cell(path, [&](int idx, double len) {
-    used_[idx] += pitch_mult * len;
+    add_quanta(used_[idx], usage_quanta(pitch_mult, len));
+  });
+}
+
+void RoutingUsage::move(const geom::Path& path, double old_pitch,
+                        double new_pitch) {
+  if (map_ == nullptr || !map_->valid()) return;
+  map_->for_each_cell(path, [&](int idx, double len) {
+    add_quanta(used_[idx],
+               usage_quanta(new_pitch, len) - usage_quanta(old_pitch, len));
   });
 }
 
@@ -99,7 +95,7 @@ double RoutingUsage::max_utilization() const {
   double worst = 0.0;
   for (std::size_t i = 0; i < used_.size(); ++i) {
     const double cap = map_->capacity_cell(static_cast<int>(i));
-    if (cap > 0.0) worst = std::max(worst, used_[i] / cap);
+    if (cap > 0.0) worst = std::max(worst, used_cell(static_cast<int>(i)) / cap);
   }
   return worst;
 }
@@ -107,21 +103,42 @@ double RoutingUsage::max_utilization() const {
 int RoutingUsage::overflow_cells() const {
   int n = 0;
   for (std::size_t i = 0; i < used_.size(); ++i) {
-    if (used_[i] > map_->capacity_cell(static_cast<int>(i))) ++n;
+    const int idx = static_cast<int>(i);
+    if (used_cell(idx) > map_->capacity_cell(idx)) ++n;
   }
   return n;
 }
 
-bool RoutingUsage::fits(const geom::Path& path, double pitch_mult) const {
+bool RoutingUsage::fits(const std::vector<geom::Path>& paths,
+                        double old_pitch, double new_pitch) const {
   if (map_ == nullptr || !map_->valid()) return true;
-  // Accumulate the candidate's own demand per cell before comparing, since
-  // a path can cross the same cell through several sub-steps.
-  std::map<int, double> extra;
-  map_->for_each_cell(path, [&](int idx, double len) {
-    extra[idx] += pitch_mult * len;
-  });
-  for (const auto& [idx, demand] : extra) {
-    if (used_[idx] + demand > map_->capacity_cell(idx)) return false;
+  // The change per crossed cell is summed before comparing: one cell can
+  // take several sub-steps, of one path or of several wires of the net.
+  // Integer sums make the order irrelevant, so sort-and-merge suffices.
+  thread_local std::vector<std::pair<int, std::int64_t>> delta;
+  delta.clear();
+  for (const geom::Path& path : paths) {
+    map_->for_each_cell(path, [&](int idx, double len) {
+      const std::int64_t d =
+          usage_quanta(new_pitch, len) - usage_quanta(old_pitch, len);
+      if (!delta.empty() && delta.back().first == idx) {
+        add_quanta(delta.back().second, d);
+      } else {
+        delta.emplace_back(idx, d);
+      }
+    });
+  }
+  std::sort(delta.begin(), delta.end());
+  for (std::size_t i = 0; i < delta.size();) {
+    const int idx = delta[i].first;
+    std::int64_t after = used_[idx];
+    for (; i < delta.size() && delta[i].first == idx; ++i) {
+      add_quanta(after, delta[i].second);
+    }
+    if (static_cast<double>(after) * kUsageQuantum >
+        map_->capacity_cell(idx)) {
+      return false;
+    }
   }
   return true;
 }

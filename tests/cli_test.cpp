@@ -99,6 +99,14 @@ TEST(Cli, MalformedDesignFileExitsParseError) {
   EXPECT_NE(out.find("bad_design.txt:1:"), std::string::npos) << out;
 }
 
+TEST(Cli, NonFiniteSinkCapExitsParseError) {
+  const std::string bad = path_in_scratch("nan_cap_design.txt");
+  std::ofstream(bad) << "design t\nsink a 10 10 1.5\nsink b 20 20 nan\n";
+  std::string out;
+  EXPECT_EQ(run_cli("run --design " + bad, &out), 4);
+  EXPECT_NE(out.find("nan_cap_design.txt:3:"), std::string::npos) << out;
+}
+
 TEST(Cli, MissingConfigFileExitsNotFound) {
   EXPECT_EQ(run_cli("run --design " + design_path() + " --config " +
                     path_in_scratch("absent.conf")),
@@ -214,7 +222,7 @@ TEST(Cli, VersionPrintsSchemasAndExitsZero) {
     EXPECT_EQ(out.rfind("sndr ", 0), 0u) << out;
     EXPECT_GT(out.size(), std::string("sndr \n").size()) << out;
     EXPECT_NE(out.find("sndr.run_manifest/2"), std::string::npos) << out;
-    EXPECT_NE(out.find("sndr.anneal_checkpoint/1"), std::string::npos) << out;
+    EXPECT_NE(out.find("sndr.anneal_checkpoint/2"), std::string::npos) << out;
   }
 }
 

@@ -1,4 +1,4 @@
-// Pins the delta-timing contract of PR 6: a single-net parasitic change
+// Pins the delta-timing contract: a single-net parasitic change
 // replayed by timing::DeltaTimer — and a whole move applied by
 // AssignmentState::apply_move — leaves every maintained array BITWISE
 // identical to a fresh full analysis / rebuild() of the same assignment,
@@ -12,6 +12,7 @@
 #include "extract/net_geometry.hpp"
 #include "ndr/assignment_state.hpp"
 #include "ndr/smart_ndr.hpp"
+#include "route/congestion_route.hpp"
 #include "test_util.hpp"
 #include "timing/delta_timing.hpp"
 #include "workload/rng.hpp"
@@ -85,8 +86,10 @@ TEST(DeltaTimer, RootNetChangeReachesEverySink) {
 struct StateSnapshot {
   std::vector<double> sink_latency, sink_var, sink_xtalk;
   std::vector<double> net_cap, net_sigma, net_xtalk, net_wire_delay;
+  std::vector<std::int64_t> usage;  ///< routing usage quanta per cell.
   double latency_sum = 0.0;
   double total_cap = 0.0;
+  double total_energy = 0.0;
 };
 
 StateSnapshot snapshot(const AssignmentState& st, int n_nets, int n_sinks) {
@@ -102,8 +105,10 @@ StateSnapshot snapshot(const AssignmentState& st, int n_nets, int n_sinks) {
     s.net_xtalk.push_back(st.net_xtalk_of(n));
     s.net_wire_delay.push_back(st.net_wire_delay(n));
   }
+  s.usage = st.usage().quanta();
   s.latency_sum = st.latency_sum();
   s.total_cap = st.total_cap();
+  s.total_energy = st.total_energy();
   return s;
 }
 
@@ -115,8 +120,10 @@ void expect_bitwise_eq(const StateSnapshot& got, const StateSnapshot& want) {
   EXPECT_EQ(got.net_sigma, want.net_sigma);
   EXPECT_EQ(got.net_xtalk, want.net_xtalk);
   EXPECT_EQ(got.net_wire_delay, want.net_wire_delay);
+  EXPECT_EQ(got.usage, want.usage);
   EXPECT_EQ(got.latency_sum, want.latency_sum);
   EXPECT_EQ(got.total_cap, want.total_cap);
+  EXPECT_EQ(got.total_energy, want.total_energy);
 }
 
 TEST(DeltaTimingChurn, RandomMovesStayBitwiseIdenticalToRebuild) {
@@ -151,6 +158,79 @@ TEST(DeltaTimingChurn, RandomMovesStayBitwiseIdenticalToRebuild) {
     expect_bitwise_eq(snapshot(state, n_nets, n_sinks),
                       snapshot(ref, n_nets, n_sinks));
   }
+}
+
+// Thousands of commits and no resync in between: the greedy optimizer and
+// the annealer rely on apply_move alone. The congestion map is squeezed to
+// just above the blanket routing usage, so the routing check really binds
+// (wider-pitch moves get refused) and usage swings up and down through
+// near-capacity cells. The design spans several latency-sum blocks.
+TEST(DeltaTimingChurn, LongChurnNearCapacityStaysBitwiseIdenticalToRebuild) {
+  test::Flow f = test::small_flow(600, 41);
+  const timing::AnalysisOptions aopt;
+  const RuleAssignment blanket =
+      assign_all(f.nets, f.tech.rules.blanket_index());
+  const int n_nets = f.nets.size();
+  const int n_rules = f.tech.rules.size();
+  const int n_sinks = static_cast<int>(f.design.sinks.size());
+  ASSERT_GT(n_sinks, 2 * kLatencyBlock);
+  ASSERT_GT(f.design.congestion.cell_count(), 1);
+  {
+    const netlist::RoutingUsage at_blanket = route::compute_usage(
+        f.cts.tree, f.nets, blanket, f.tech, f.design.congestion);
+    for (int ci = 0; ci < f.design.congestion.cell_count(); ++ci) {
+      f.design.congestion.set_capacity_cell(
+          ci, at_blanket.used_cell(ci) * 1.002 + 1.0);
+    }
+  }
+
+  AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  RuleAssignment a = blanket;
+  state.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
+                            &state.geometry_cache()));
+  AssignmentState ref(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  const auto expect_matches_rebuild = [&] {
+    const FlowEvaluation fresh = evaluate(f.cts.tree, f.design, f.tech,
+                                          f.nets, a, aopt,
+                                          &state.geometry_cache());
+    ref.rebuild(a, fresh);
+    // The snapshot covers routing usage: ref's comes from compute_usage.
+    expect_bitwise_eq(snapshot(state, n_nets, n_sinks),
+                      snapshot(ref, n_nets, n_sinks));
+    EXPECT_EQ(fresh.overflow_cells, 0);
+  };
+
+  const double width_frac = f.tech.clock_layer.width_frac();
+  workload::Rng rng(20261018);
+  int commits = 0;
+  int refused_by_routing = 0;
+  while (commits < 2400) {
+    const int net_id = static_cast<int>(rng.uniform_int(n_nets));
+    int rule = static_cast<int>(rng.uniform_int(n_rules));
+    if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
+    const double old_pitch =
+        f.tech.rules[state.rule_of(net_id)].pitch_mult(width_frac);
+    const double new_pitch = f.tech.rules[rule].pitch_mult(width_frac);
+    if (!state.usage().fits(state.net_paths(net_id), old_pitch, new_pitch)) {
+      ++refused_by_routing;
+      continue;
+    }
+    state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
+    a[net_id] = rule;
+    ++commits;
+    if (commits % 600 == 0) {
+      SCOPED_TRACE("commit " + std::to_string(commits));
+      expect_matches_rebuild();
+    }
+  }
+  EXPECT_GT(refused_by_routing, 0);
+
+  // Rebuilding the churned state in place changes nothing (debug builds
+  // also assert the accumulators against the fresh evaluation here).
+  const StateSnapshot before = snapshot(state, n_nets, n_sinks);
+  state.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
+                            &state.geometry_cache()));
+  expect_bitwise_eq(snapshot(state, n_nets, n_sinks), before);
 }
 
 TEST(DeltaTimingChurn, ChurnIsThreadCountInvariant) {

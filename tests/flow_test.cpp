@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "flow/config.hpp"
 #include "flow/flow.hpp"
 #include "flow/session.hpp"
@@ -365,6 +366,34 @@ TEST(Flow, CancelledSessionReturnsTypedCancelledStatus) {
   EXPECT_EQ(f.stages().back().status, "cancelled");
 }
 
+/// Two runs of the same flow in different scopes saw the same counters.
+/// Which lane runs a pool chunk depends on scheduling once the pool has
+/// workers, so pool.chunks_on_caller / pool.chunks_on_workers may split
+/// differently (and one may be absent, i.e. 0); their sum is conserved and
+/// still catches a chunk counted in the wrong scope. The split itself is
+/// compared only on a serial pool.
+void expect_same_counters(const obs::MetricsRegistry::Snapshot& got,
+                          const obs::MetricsRegistry::Snapshot& want) {
+  const auto is_split = [](const std::string& name) {
+    return name == "pool.chunks_on_caller" ||
+           name == "pool.chunks_on_workers";
+  };
+  const bool serial = common::thread_count() <= 1;
+  const auto others = [&](const obs::MetricsRegistry::Snapshot& snap) {
+    std::vector<std::pair<std::string, std::int64_t>> out;
+    for (const auto& c : snap.counters) {
+      if (serial || !is_split(c.first)) out.push_back(c);
+    }
+    return out;
+  };
+  EXPECT_EQ(others(got), others(want));
+  const auto split_total = [](const obs::MetricsRegistry::Snapshot& snap) {
+    return snap.counter("pool.chunks_on_caller") +
+           snap.counter("pool.chunks_on_workers");
+  };
+  EXPECT_EQ(split_total(got), split_total(want));
+}
+
 // The headline isolation property: two sessions on two threads produce
 // bit-identical results to the same two sessions run serially, and their
 // metrics snapshots are fully disjoint (each scope saw only its own run).
@@ -401,18 +430,8 @@ TEST(Flow, ConcurrentSessionsMatchSerialWithDisjointMetrics) {
   const auto snap_b = sess_b->obs_scope().metrics().snapshot();
   EXPECT_GT(snap_a.counter("ndr.evaluations"), 0);
   EXPECT_GT(snap_b.counter("ndr.evaluations"), 0);
-  ASSERT_EQ(snap_a.counters.size(), ref_snap_a.counters.size());
-  for (std::size_t i = 0; i < snap_a.counters.size(); ++i) {
-    EXPECT_EQ(snap_a.counters[i].first, ref_snap_a.counters[i].first);
-    EXPECT_EQ(snap_a.counters[i].second, ref_snap_a.counters[i].second)
-        << snap_a.counters[i].first;
-  }
-  ASSERT_EQ(snap_b.counters.size(), ref_snap_b.counters.size());
-  for (std::size_t i = 0; i < snap_b.counters.size(); ++i) {
-    EXPECT_EQ(snap_b.counters[i].first, ref_snap_b.counters[i].first);
-    EXPECT_EQ(snap_b.counters[i].second, ref_snap_b.counters[i].second)
-        << snap_b.counters[i].first;
-  }
+  expect_same_counters(snap_a, ref_snap_a);
+  expect_same_counters(snap_b, ref_snap_b);
 
   // And none of it went to the process default scope.
   const auto default_after =

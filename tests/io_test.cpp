@@ -8,7 +8,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.hpp"
 #include "extract/extractor.hpp"
+#include "io/design_io.hpp"
 #include "io/line_reader.hpp"
 #include "io/spef.hpp"
 #include "io/svg.hpp"
@@ -194,6 +196,69 @@ std::vector<std::string> drain(LineSource& src) {
   std::string_view line;
   while (src.next(line)) lines.emplace_back(line);
   return lines;
+}
+
+// ---- design reader: non-finite and out-of-range physical values ---------
+
+/// Parses `body` as a design named "bad.txt"; returns the ParseError text
+/// (empty if the design parsed).
+std::string design_parse_error(const std::string& body) {
+  std::istringstream is(body);
+  try {
+    (void)read_design(is, "bad.txt");
+  } catch (const common::ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DesignReaderTest, RejectsNanSinkCapWithPathAndLine) {
+  const std::string err =
+      design_parse_error("design t\nsink a 1 2 3\nsink b 4 5 nan\n");
+  EXPECT_NE(err.find("bad.txt:3:"), std::string::npos) << err;
+}
+
+TEST(DesignReaderTest, RejectsInfSinkCapWithPathAndLine) {
+  const std::string err = design_parse_error("sink a 1 2 inf\n");
+  EXPECT_NE(err.find("bad.txt:1:"), std::string::npos) << err;
+}
+
+TEST(DesignReaderTest, RejectsNegativeSinkCap) {
+  const std::string err =
+      design_parse_error("design t\n\nsink a 1 2 -5\n");
+  EXPECT_NE(err.find("bad.txt:3:"), std::string::npos) << err;
+  EXPECT_NE(err.find("negative"), std::string::npos) << err;
+}
+
+TEST(DesignReaderTest, RejectsNanMaxSkew) {
+  const std::string err =
+      design_parse_error("max_skew_ps nan\nsink a 1 2 3\n");
+  EXPECT_NE(err.find("bad.txt:1:"), std::string::npos) << err;
+  EXPECT_NE(err.find("max_skew_ps"), std::string::npos) << err;
+}
+
+TEST(DesignReaderTest, RejectsNonPositiveOrNonFiniteConstraints) {
+  for (const char* key : {"clock_freq_ghz", "max_slew_ps", "max_skew_ps",
+                          "max_uncertainty_ps"}) {
+    for (const char* v : {"0", "-1", "inf", "-inf", "nan"}) {
+      const std::string err = design_parse_error(
+          std::string("sink a 1 2 3\n") + key + " " + v + "\n");
+      EXPECT_NE(err.find("bad.txt:2:"), std::string::npos)
+          << key << " " << v << ": " << err;
+    }
+  }
+  // Every other numeric field rejects non-finite values too.
+  for (const char* line :
+       {"core 0 0 inf 10", "clock_root nan 0", "congestion 2 2 nan 5",
+        "congestion 2 2 0.3 inf", "occupancy_cell 0 nan", "sink a inf 2 3",
+        "sink a 1 -inf 3", "window 0 nan 5", "window 0 -5 inf"}) {
+    const std::string err =
+        design_parse_error(std::string(line) + "\nsink b 1 2 3\n");
+    EXPECT_NE(err.find("bad.txt:1:"), std::string::npos) << line << ": "
+                                                         << err;
+  }
+  // Zero pin cap and positive constraints stay legal.
+  EXPECT_EQ(design_parse_error("max_skew_ps 40\nsink a 1 2 0\n"), "");
 }
 
 TEST(LineReaderTest, TinyChunksCompactAcrossBoundaries) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "netlist/clock_nets.hpp"
 #include "netlist/clock_tree.hpp"
 #include "netlist/congestion.hpp"
 #include "netlist/design.hpp"
+#include "route/congestion_route.hpp"
+#include "test_util.hpp"
+#include "workload/rng.hpp"
 
 namespace sndr::netlist {
 namespace {
@@ -226,13 +231,97 @@ TEST(RoutingUsage, AddAndOverflow) {
   u.add({{0, 50}, {50, 50}}, 1.0);
   EXPECT_NEAR(u.used_cell(0), 50.0, 1e-9);
   EXPECT_NEAR(u.max_utilization(), 0.5, 1e-9);
-  EXPECT_TRUE(u.fits({{0, 60}, {40, 60}}, 1.0));
-  EXPECT_FALSE(u.fits({{0, 60}, {60, 60}}, 1.0));
+  EXPECT_TRUE(u.fits({{{0, 60}, {40, 60}}}, 0.0, 1.0));
+  EXPECT_FALSE(u.fits({{{0, 60}, {60, 60}}}, 0.0, 1.0));
+  // Two wires of one net sharing the cell count together: 30 + 30 on top
+  // of 50 overflows although either wire alone would fit.
+  const geom::Path wire{{0, 70}, {30, 70}};
+  EXPECT_TRUE(u.fits({wire}, 0.0, 1.0));
+  EXPECT_FALSE(u.fits({wire, wire}, 0.0, 1.0));
   u.add({{0, 60}, {60, 60}}, 1.0);
   EXPECT_EQ(u.overflow_cells(), 1);
-  // Negative delta (rule downgrade) releases capacity.
-  u.add({{0, 60}, {60, 60}}, -1.0);
+  // A rule downgrade releases capacity.
+  u.move({{0, 60}, {60, 60}}, 1.0, 0.0);
   EXPECT_EQ(u.overflow_cells(), 0);
+}
+
+TEST(RoutingUsage, OutOfRangeUsageThrowsInsteadOfWrapping) {
+  // One sub-step beyond the fixed-point range (2^62 quanta).
+  const CongestionMap huge(geom::BBox(0, 0, 1e12, 1e12), 1, 1, 0.3, 1.0);
+  RoutingUsage u(&huge);
+  EXPECT_THROW(u.add({{0, 0}, {1e12, 0}}, 3.0), std::overflow_error);
+  // Each sub-step in range (2^36 track-um = 2^60 quanta), but the cell
+  // total passes 2^63 quanta on the eighth add.
+  const CongestionMap big(geom::BBox(0, 0, 0x1p37, 0x1p37), 1, 1, 0.3, 1.0);
+  RoutingUsage v(&big);
+  const geom::Path step{{0, 0}, {0x1p36, 0}};
+  for (int i = 0; i < 7; ++i) v.add(step, 1.0);
+  EXPECT_THROW(v.add(step, 1.0), std::overflow_error);
+}
+
+// Integer usage quanta make RoutingUsage order-free: adding the nets in a
+// shuffled order, or reaching an assignment through a long random sequence
+// of rule moves, gives exactly the per-cell quanta a fresh compute_usage of
+// that assignment does. (A floating-point accumulator would drift with the
+// order; this is what lets the optimizer skip periodic resyncs.)
+TEST(RoutingUsage, RandomOrderAddMoveEqualsFreshComputeUsageBitwise) {
+  const test::Flow f = test::small_flow(300, 17);
+  const CongestionMap& map = f.design.congestion;
+  ASSERT_GT(map.cell_count(), 1);
+  const int n_nets = f.nets.size();
+  const int n_rules = f.tech.rules.size();
+  const double width_frac = f.tech.clock_layer.width_frac();
+  const auto pitch = [&](int rule) {
+    return f.tech.rules[rule].pitch_mult(width_frac);
+  };
+  const auto wires_of = [&](int net_id) {
+    std::vector<geom::Path> paths;
+    for (const int v : f.nets.nets[net_id].wires) {
+      const TreeNode& n = f.cts.tree.node(v);
+      if (n.path.size() >= 2) {
+        paths.push_back(n.path);
+      } else if (n.parent >= 0) {
+        paths.push_back({f.cts.tree.loc(n.parent), n.loc});
+      }
+    }
+    return paths;
+  };
+
+  workload::Rng rng(4242);
+  std::vector<int> rule_of(n_nets);
+  for (int& r : rule_of) r = static_cast<int>(rng.uniform_int(n_rules));
+
+  // Shuffled add order.
+  std::vector<int> order(n_nets);
+  for (int i = 0; i < n_nets; ++i) order[i] = i;
+  for (int i = n_nets - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.uniform_int(i + 1)]);
+  }
+  RoutingUsage shuffled(&map);
+  for (const int id : order) {
+    for (const geom::Path& p : wires_of(id)) shuffled.add(p, pitch(rule_of[id]));
+  }
+  EXPECT_EQ(shuffled.quanta(),
+            route::compute_usage(f.cts.tree, f.nets, rule_of, f.tech, map)
+                .quanta());
+
+  // Random moves, plus transient add/remove pairs of the same wire.
+  for (int step = 0; step < 3000; ++step) {
+    const int id = static_cast<int>(rng.uniform_int(n_nets));
+    const int rule = static_cast<int>(rng.uniform_int(n_rules));
+    for (const geom::Path& p : wires_of(id)) {
+      shuffled.move(p, pitch(rule_of[id]), pitch(rule));
+    }
+    rule_of[id] = rule;
+    if (step % 7 == 0) {
+      const geom::Path extra = wires_of(id).front();
+      shuffled.add(extra, pitch(rule));
+      shuffled.move(extra, pitch(rule), 0.0);
+    }
+  }
+  EXPECT_EQ(shuffled.quanta(),
+            route::compute_usage(f.cts.tree, f.nets, rule_of, f.tech, map)
+                .quanta());
 }
 
 TEST(Design, TotalSinkCap) {

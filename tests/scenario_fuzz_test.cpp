@@ -388,13 +388,11 @@ TEST(ScenarioFuzz, CheckpointCorruptionAlwaysParseErrors) {
     ck.temperature = rng.uniform(1e-6, 10.0);
     ck.cooling = rng.uniform(0.5, 1.0);
     ck.rng_state = rng.next_u64();
-    ck.accepted_since_refresh = static_cast<int>(rng.uniform_int(100));
     ck.proposed = static_cast<int>(rng.uniform_int(10000));
     ck.accepted = static_cast<int>(rng.uniform_int(10000));
     ck.rejected = static_cast<int>(rng.uniform_int(10000));
     ck.uphill_accepted = static_cast<int>(rng.uniform_int(1000));
     ck.delta_updates = static_cast<int>(rng.uniform_int(10000));
-    ck.full_rebuilds = static_cast<int>(rng.uniform_int(100));
     ck.start_cap = rng.uniform(1e-15, 1e-9);
     ck.start_feasible = rng.uniform_int(2) == 1;
     ck.best_cap = rng.uniform(1e-15, 1e-9);

@@ -168,13 +168,12 @@ void print_usage(std::ostream& os) {
       "optimizer keys (same --flag / config-key duality):\n"
       "  --scoring models|exact_net|full_sta, --training-samples N,\n"
       "  --slew-margin F, --uncertainty-margin F, --em-margin F,\n"
-      "  --skew-margin F, --max-passes N, --full-refresh-interval N,\n"
-      "  --max-repair-rounds N.\n"
+      "  --skew-margin F, --max-passes N, --max-repair-rounds N.\n"
       "anneal keys:\n"
-      "  --anneal-t-start-frac F, --anneal-t-end-frac F,\n"
-      "  --anneal-full-refresh-interval N, --prewarm BOOL (batched\n"
-      "  exact-eval prewarm of the anneal memo, default true; results are\n"
-      "  bitwise identical either way — false measures the lazy path).\n"
+      "  --anneal-t-start-frac F, --anneal-t-end-frac F, --prewarm BOOL\n"
+      "  (batched exact-eval prewarm of the anneal memo, default true;\n"
+      "  results are bitwise identical either way — false measures the\n"
+      "  lazy path).\n"
       "sweep keys (sndr dse; also usable on run for a single point):\n"
       "  --power-weight F: objective weight on switched cap (> 0; 1.0 is\n"
       "               the bitwise-neutral default). The DSE power axis.\n"
