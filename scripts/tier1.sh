@@ -6,7 +6,8 @@
 # reuse — ASan guards their bounds; the scale smoke adds a 10k-net
 # generated tree and heavy LRU eviction under a byte budget), then an
 # UndefinedBehaviorSanitizer
-# build running the flow/io layers (parsers and typed error boundaries).
+# build running the flow/io layers (parsers and typed error boundaries),
+# then a Debug build (asserts on) running the incremental-state tests.
 # Run from anywhere inside the repo.
 set -euo pipefail
 
@@ -90,5 +91,19 @@ cmake --build "$repo/build-ubsan" -j "$jobs" --target flow_test \
 # the checkpoint corruption property (strtod hexfloat paths) under UBSan.
 SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_UBSAN:-4}" \
   "$repo/build-ubsan/tests/scenario_fuzz_test"
+
+echo "== tier1: Debug build (asserts on) + incremental-state tests =="
+# Every leg above compiles with -DNDEBUG. AssignmentState::rebuild() asserts
+# that the incrementally maintained state (latencies, leaf uncertainty
+# chains, the exact latency sum, routing usage) equals a fresh evaluation
+# BITWISE; this leg is where those asserts run.
+cmake -B "$repo/build-debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug >/dev/null
+cmake --build "$repo/build-debug" -j "$jobs" --target assignment_state_test \
+  --target delta_timing_test --target ndr_test --target scenario_fuzz_test
+"$repo/build-debug/tests/assignment_state_test"
+"$repo/build-debug/tests/delta_timing_test"
+"$repo/build-debug/tests/ndr_test"
+SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_DEBUG:-4}" \
+  "$repo/build-debug/tests/scenario_fuzz_test"
 
 echo "tier1: OK"

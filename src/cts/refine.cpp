@@ -19,11 +19,11 @@ struct SubtreeLatency {
 };
 
 SubtreeLatency subtree_latency(const netlist::ClockTree& tree,
+                               const std::vector<int>& order,
                                const timing::TimingReport& rep) {
   SubtreeLatency s;
   s.sum.assign(tree.size(), 0.0);
   s.count.assign(tree.size(), 0);
-  const std::vector<int> order = tree.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const int id = *it;
     const netlist::TreeNode& n = tree.node(id);
@@ -53,8 +53,11 @@ RefineResult refine_skew(netlist::ClockTree& tree,
   const double skew_goal =
       options.target_fraction * design.constraints.max_skew;
 
+  // Resizing a buffer changes neither node kinds nor topology, so the net
+  // decomposition and the root-first order hold for every pass.
+  const netlist::NetList nets = netlist::build_nets(tree);
+  const std::vector<int> order = tree.topological_order();
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const netlist::NetList nets = netlist::build_nets(tree);
     const auto parasitics = extractor.extract_all(
         tree, nets,
         std::vector<int>(static_cast<std::size_t>(nets.size()), rule_idx));
@@ -65,7 +68,7 @@ RefineResult refine_skew(netlist::ClockTree& tree,
     result.iterations = iter;
     if (rep.skew() <= skew_goal) break;
 
-    const SubtreeLatency sub = subtree_latency(tree, rep);
+    const SubtreeLatency sub = subtree_latency(tree, order, rep);
     const double target = sub.count[tree.root()] > 0
                               ? sub.sum[tree.root()] / sub.count[tree.root()]
                               : 0.0;
@@ -74,8 +77,8 @@ RefineResult refine_skew(netlist::ClockTree& tree,
     // ancestors have not already corrected.
     std::vector<double> corrected(tree.size(), 0.0);
     int resizes_this_iter = 0;
-    for (const int id : tree.topological_order()) {
-      netlist::TreeNode n = tree.node(id);
+    for (const int id : order) {
+      const netlist::TreeNode& n = tree.node(id);
       if (n.parent >= 0) corrected[id] = corrected[n.parent];
       if (n.kind != netlist::NodeKind::kBuffer || sub.count[id] == 0) {
         continue;
@@ -119,7 +122,6 @@ RefineResult refine_skew(netlist::ClockTree& tree,
   }
 
   // Final measurement if we resized on the last pass.
-  const netlist::NetList nets = netlist::build_nets(tree);
   const auto parasitics = extractor.extract_all(
       tree, nets,
       std::vector<int>(static_cast<std::size_t>(nets.size()), rule_idx));

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/parallel.hpp"
 #include "route/congestion_route.hpp"
@@ -13,30 +14,24 @@ namespace sndr::ndr {
 
 namespace {
 
-/// Sum of sinks [b*kLatencyBlock, ...) of one block, left to right.
-double block_latency_sum(const std::vector<double>& latency, int b) {
-  const std::size_t lo = static_cast<std::size_t>(b) * kLatencyBlock;
-  const std::size_t hi =
-      std::min(latency.size(), lo + static_cast<std::size_t>(kLatencyBlock));
-  double sum = 0.0;
-  for (std::size_t s = lo; s < hi; ++s) sum += latency[s];
-  return sum;
-}
-
-/// The two-level latency sum: per-block sums into `blocks`, then the block
-/// sums left to right. The one definition rebuild() and its debug check use.
-double blocked_latency_sum(const std::vector<double>& latency,
-                           std::vector<double>& blocks) {
-  const int n_blocks = static_cast<int>(
-      (latency.size() + kLatencyBlock - 1) / kLatencyBlock);
-  blocks.resize(n_blocks);
-  for (int b = 0; b < n_blocks; ++b) {
-    blocks[b] = block_latency_sum(latency, b);
-  }
-  return std::accumulate(blocks.begin(), blocks.end(), 0.0);
-}
+/// Fractional bits of an ExactSum quantum.
+constexpr int kSumFracBits = 90;
 
 }  // namespace
+
+ExactSum::Quanta ExactSum::quanta(double x) {
+  const double scaled = std::ldexp(x, kSumFracBits);
+  // |x| < 2^6 keeps each value below 2^96 quanta, so 2^31 of them cannot
+  // overflow the accumulator; NaN fails the comparison too.
+  if (!(std::fabs(scaled) < 0x1p96)) {
+    throw std::overflow_error("ExactSum: value out of range");
+  }
+  return static_cast<Quanta>(scaled);
+}
+
+double ExactSum::value() const {
+  return std::ldexp(static_cast<double>(acc_), -kSumFracBits);
+}
 
 AssignmentState::AssignmentState(const netlist::ClockTree& tree,
                                  const netlist::Design& design,
@@ -61,25 +56,30 @@ AssignmentState::AssignmentState(const netlist::ClockTree& tree,
   const int n_nets = nets.size();
   const int n_sinks = static_cast<int>(design.sinks.size());
   sinks_under_.assign(n_nets, {});
-  nets_on_path_.assign(n_sinks, {});
+  leaves_under_.assign(n_nets, {});
+  leaf_of_sink_.assign(n_sinks, -1);
 
+  // A sink's source path leaves its leaf net at the leaf's driver, so the
+  // chain is walked once per leaf net, from net to driver's net, up to the
+  // root net (whose driver has no incoming edge).
+  std::vector<int> leaf_of_net(n_nets, -1);
   for (int v = 0; v < tree.size(); ++v) {
     const netlist::TreeNode& n = tree.node(v);
     if (n.kind != netlist::NodeKind::kSink) continue;
-    int node = v;
-    int last_net = -1;
-    while (node >= 0) {
-      const int net = nets.net_of_edge[node];
-      if (net >= 0 && net != last_net) {
-        sinks_under_[net].push_back(n.sink);
-        nets_on_path_[n.sink].push_back(net);
-        last_net = net;
+    const int leaf_net = nets.net_of_edge[v];
+    int& k = leaf_of_net[leaf_net];
+    if (k < 0) {
+      k = static_cast<int>(leaf_chain_.size());
+      std::vector<int>& chain = leaf_chain_.emplace_back();
+      for (int net = leaf_net; net >= 0;
+           net = nets.net_of_edge[nets.nets[net].driver]) {
+        chain.push_back(net);
+        leaves_under_[net].push_back(k);
       }
-      node = tree.node(node).parent;
     }
+    leaf_of_sink_[n.sink] = k;
+    for (const int net : leaf_chain_[k]) sinks_under_[net].push_back(n.sink);
   }
-
-  block_is_dirty_.assign((n_sinks + kLatencyBlock - 1) / kLatencyBlock, 0);
 
   win_lo_.resize(n_sinks);
   win_hi_.resize(n_sinks);
@@ -153,10 +153,10 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
     assert(delta_.sink_arrival() == ev.timing.sink_arrival);
     assert(delta_.node_arrival() == ev.timing.node_arrival);
     assert(delta_.node_slew() == ev.timing.node_slew);
-    std::vector<double> blocks_check;
-    assert(latency_sum_ ==
-           blocked_latency_sum(ev.timing.sink_arrival, blocks_check));
-    assert(block_sum_ == blocks_check);
+    ExactSum sum_check;
+    for (const double l : ev.timing.sink_arrival) sum_check.add(l);
+    assert(latency_acc_ == sum_check);
+    assert(latency_sum_ == sum_check.value());
     for (const netlist::Net& net : nets_->nets) {
       assert(nets_state_[net.id].cap == ev.power.net_switched_cap[net.id]);
       assert(nets_state_[net.id].sigma == ev.variation.net_sigma[net.id]);
@@ -166,31 +166,26 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
            route::compute_usage(*tree_, *nets_, assignment_, *tech_,
                                 design_->congestion)
                .quanta());
-    for (int s = 0; s < static_cast<int>(design_->sinks.size()); ++s) {
+    for (std::size_t k = 0; k < leaf_chain_.size(); ++k) {
       double var = 0.0;
       double xt = 0.0;
-      for (const int net : nets_on_path_[s]) {
+      for (const int net : leaf_chain_[k]) {
         var += ev.variation.net_sigma[net] * ev.variation.net_sigma[net];
         xt += ev.variation.net_xtalk[net];
       }
-      assert(sink_var_[s] == var);
-      assert(sink_xtalk_[s] == xt);
+      assert(leaf_var_[k] == var);
+      assert(leaf_xtalk_[k] == xt);
     }
   }
 #endif
+  // Summed before any member changes, so an out-of-range latency throws
+  // with the state untouched.
+  ExactSum latency_acc;
+  for (const double l : ev.timing.sink_arrival) latency_acc.add(l);
   assignment_ = assignment;
-  const int n_sinks = static_cast<int>(design_->sinks.size());
   sink_latency_ = ev.timing.sink_arrival;
-  latency_sum_ = blocked_latency_sum(sink_latency_, block_sum_);
-  sink_var_.assign(n_sinks, 0.0);
-  sink_xtalk_.assign(n_sinks, 0.0);
-  for (int s = 0; s < n_sinks; ++s) {
-    for (const int net : nets_on_path_[s]) {
-      sink_var_[s] +=
-          ev.variation.net_sigma[net] * ev.variation.net_sigma[net];
-      sink_xtalk_[s] += ev.variation.net_xtalk[net];
-    }
-  }
+  latency_acc_ = latency_acc;
+  latency_sum_ = latency_acc_.value();
 
   // Reference resync of the delta-timing mirror: re-derives every net's
   // per-load wire delay / step slew and the arrival/slew arrays from the
@@ -213,6 +208,11 @@ void AssignmentState::rebuild(const RuleAssignment& assignment,
       ++ctx_gen_[net.id];
     }
     st.wire_delay = delta_.net_wire_delay_worst(net.id);
+  }
+  leaf_var_.resize(leaf_chain_.size());
+  leaf_xtalk_.resize(leaf_chain_.size());
+  for (std::size_t k = 0; k < leaf_chain_.size(); ++k) {
+    fold_leaf(static_cast<int>(k));
   }
 
   usage_ = route::compute_usage(*tree_, *nets_, assignment_, *tech_,
@@ -261,26 +261,43 @@ bool AssignmentState::check_move(int net_id, int rule_idx,
     return false;
   }
 
+  // Uncertainty is a function of the leaf net, so it is tested once per
+  // leaf under the move; the skew window stays per sink.
+  const double d_var = impact.sigma * impact.sigma - st.sigma * st.sigma;
+  const double d_xtalk = impact.xtalk - st.xtalk;
+  const double max_unc = c.max_uncertainty * (1.0 - margins.uncertainty);
+  for (const int k : leaves_under_[net_id]) {
+    const double var = std::max(0.0, leaf_var_[k] + d_var);
+    const double unc = 3.0 * std::sqrt(var) + leaf_xtalk_[k] + d_xtalk;
+    if (unc > max_unc) return false;
+  }
+
   const double d_delay = impact.delay - st.wire_delay;
   const std::vector<int>& under = sinks_under_[net_id];
   const int n_sinks = static_cast<int>(design_->sinks.size());
   const double new_mean =
       (latency_sum_ + d_delay * static_cast<double>(under.size())) /
       std::max(1, n_sinks);
-  const double d_var = impact.sigma * impact.sigma - st.sigma * st.sigma;
-  const double d_xtalk = impact.xtalk - st.xtalk;
-  const double max_unc = c.max_uncertainty * (1.0 - margins.uncertainty);
   const double win_scale = 1.0 - margins.skew;
   for (const int s : under) {
     const double off = sink_latency_[s] + d_delay - new_mean;
     if (off < win_lo_[s] * win_scale || off > win_hi_[s] * win_scale) {
       return false;
     }
-    const double var = std::max(0.0, sink_var_[s] + d_var);
-    const double unc = 3.0 * std::sqrt(var) + sink_xtalk_[s] + d_xtalk;
-    if (unc > max_unc) return false;
   }
   return true;
+}
+
+void AssignmentState::fold_leaf(int k) {
+  double var = 0.0;
+  double xt = 0.0;
+  for (const int net : leaf_chain_[k]) {
+    const NetState& ns = nets_state_[net];
+    var += ns.sigma * ns.sigma;
+    xt += ns.xtalk;
+  }
+  leaf_var_[k] = var;
+  leaf_xtalk_[k] = xt;
 }
 
 void AssignmentState::apply_move(int net_id, int rule_idx,
@@ -325,33 +342,17 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
   st.xtalk = exact.xtalk_worst;
   st.wire_delay = delta_.net_wire_delay_worst(net_id);
 
-  // Re-derive the accumulators of the affected sinks as ABSOLUTE re-sums in
-  // rebuild()'s exact floating-point order — never accumulated +=deltas —
-  // so the incremental state stays bitwise equal to a fresh rebuild.
+  // The latency sum swaps old quanta for new (exact, so order-free); the
+  // leaf chains under the net are re-folded as ABSOLUTE sums in rebuild()'s
+  // floating-point order — never accumulated +=deltas — so the incremental
+  // state stays bitwise equal to a fresh rebuild.
   const std::vector<double>& arrival = delta_.sink_arrival();
   for (const int s : sinks_under_[net_id]) {
+    latency_acc_.replace(sink_latency_[s], arrival[s]);
     sink_latency_[s] = arrival[s];
-    const int b = s / kLatencyBlock;
-    if (!block_is_dirty_[b]) {
-      block_is_dirty_[b] = 1;
-      dirty_blocks_.push_back(b);
-    }
-    double var = 0.0;
-    double xt = 0.0;
-    for (const int net : nets_on_path_[s]) {
-      const NetState& ns = nets_state_[net];
-      var += ns.sigma * ns.sigma;
-      xt += ns.xtalk;
-    }
-    sink_var_[s] = var;
-    sink_xtalk_[s] = xt;
   }
-  for (const int b : dirty_blocks_) {
-    block_sum_[b] = block_latency_sum(sink_latency_, b);
-    block_is_dirty_[b] = 0;
-  }
-  dirty_blocks_.clear();
-  latency_sum_ = std::accumulate(block_sum_.begin(), block_sum_.end(), 0.0);
+  latency_sum_ = latency_acc_.value();
+  for (const int k : leaves_under_[net_id]) fold_leaf(k);
 }
 
 void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {

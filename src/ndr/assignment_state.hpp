@@ -6,15 +6,25 @@
 // latency windows. This class owns that state and offers move checking /
 // application with exactly the approximations documented in optimizer.hpp.
 //
-// A commit costs O(affected): apply_move touches the moved net, its
-// descendant subtree and the sinks under it, and leaves every accumulator
-// (routing usage included) BITWISE equal to a fresh rebuild() of the same
-// assignment, so no caller needs a periodic re-synchronization.
+// Set-up is O(design) and a commit is O(moved net's subtree): apply_move
+// touches the moved net, its descendant subtree, the sinks under it and the
+// leaf nets under it, and leaves every accumulator (routing usage included)
+// BITWISE equal to a fresh rebuild() of the same assignment, so no caller
+// needs a periodic re-synchronization. Two structures make that hold:
+//
+//  - Leaf-net uncertainty chains. Every sink driven by one net (its leaf
+//    net) has the same nets-on-path list, so the variance and crosstalk
+//    folds are kept once per leaf net, not per sink. A commit re-folds the
+//    leaf nets under the moved net in rebuild()'s order.
+//  - An exact latency sum (ExactSum). Sink latencies are added as integer
+//    quanta, so the sum is order-free and a commit adds new - old quanta
+//    for its own sinks only.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "ndr/evaluation.hpp"
 #include "ndr/net_eval.hpp"
@@ -47,13 +57,33 @@ struct MemoSnapshot {
   bool empty() const { return rows.empty(); }
 };
 
-/// Sinks per block of the two-level latency sum (AssignmentState). A
-/// commit re-sums each block holding one of its sinks plus the block
-/// vector, so the cost is blocks_touched * kLatencyBlock + n_sinks /
-/// kLatencyBlock. On 50k-sink greedy runs, 64 to 1024 all measured
-/// within run-to-run noise (the sum is no longer a bottleneck at any of
-/// them); 256 sits in the middle.
-inline constexpr int kLatencyBlock = 256;
+/// Exact sum of doubles in 2^-90 fixed point (the AssignmentState latency
+/// sum). Each value is converted to integer quanta with ldexp(x, 90), which
+/// is exact for |x| >= 2^-38 and truncates below; the quanta are added in an
+/// __int128, so any order of add() and remove() gives the same total, and
+/// value() rounds it once. A value that is NaN, infinite or not below 2^6 in
+/// magnitude throws std::overflow_error, which keeps the total in range for
+/// up to 2^31 values.
+class ExactSum {
+ public:
+  __extension__ typedef __int128 Quanta;
+
+  /// The quanta of one value; throws std::overflow_error out of range.
+  static Quanta quanta(double x);
+
+  void add(double x) { acc_ += quanta(x); }
+  void remove(double x) { acc_ -= quanta(x); }
+  /// Replaces `old_x` by `new_x` (no-op when they are bitwise equal).
+  void replace(double old_x, double new_x) {
+    if (old_x != new_x) acc_ += quanta(new_x) - quanta(old_x);
+  }
+  bool operator==(const ExactSum&) const = default;
+  /// The total, rounded to double once.
+  double value() const;
+
+ private:
+  Quanta acc_ = 0;
+};
 
 class AssignmentState {
  public:
@@ -113,10 +143,10 @@ class AssignmentState {
   /// Exact and incremental: the net's parasitics are re-materialized under
   /// the new rule and a delta-timing replay updates sink latencies along
   /// the net's descendant subtree (O(pieces + subtree)); the variance /
-  /// crosstalk accumulators of the affected sinks are re-derived in
-  /// rebuild()'s exact floating-point order, the latency sum re-sums only
-  /// the sink blocks that hold them (see kLatencyBlock), and routing usage
-  /// swaps the net's old-rule quanta for its new-rule quanta (integer, so
+  /// crosstalk chains of the leaf nets under it are re-folded in
+  /// rebuild()'s exact floating-point order, the latency sum swaps each
+  /// affected sink's old quanta for its new ones, and routing usage swaps
+  /// the net's old-rule quanta for its new-rule quanta (both integer, so
   /// order-free). The state stays BITWISE identical to a fresh rebuild()
   /// of the same assignment (asserted there in debug builds).
   void apply_move(int net_id, int rule_idx, const NetExact& exact);
@@ -196,12 +226,13 @@ class AssignmentState {
   const netlist::NetList& nets() const { return *nets_; }
   const timing::AnalysisOptions& analysis() const { return analysis_; }
 
-  /// Design sinks downstream of a net / nets on a sink's source path.
+  /// Design sinks downstream of a net / nets on a sink's source path
+  /// (leaf net first, root net last; shared by every sink of a leaf net).
   const std::vector<int>& sinks_under(int net_id) const {
     return sinks_under_[net_id];
   }
   const std::vector<int>& nets_on_path(int sink) const {
-    return nets_on_path_[sink];
+    return leaf_chain_[leaf_of_sink_[sink]];
   }
   const std::vector<geom::Path>& net_paths(int net_id) const {
     return nets_state_[net_id].paths;
@@ -209,8 +240,10 @@ class AssignmentState {
 
   // Accumulator accessors (tests pin these against a fresh rebuild()).
   double sink_latency(int sink) const { return sink_latency_[sink]; }
-  double sink_var(int sink) const { return sink_var_[sink]; }
-  double sink_xtalk(int sink) const { return sink_xtalk_[sink]; }
+  double sink_var(int sink) const { return leaf_var_[leaf_of_sink_[sink]]; }
+  double sink_xtalk(int sink) const {
+    return leaf_xtalk_[leaf_of_sink_[sink]];
+  }
   double latency_sum() const { return latency_sum_; }
   const netlist::RoutingUsage& usage() const { return usage_; }
   double net_sigma(int net_id) const { return nets_state_[net_id].sigma; }
@@ -225,6 +258,10 @@ class AssignmentState {
   }
 
  private:
+  /// Re-folds leaf `k`'s variance / crosstalk from the current per-net
+  /// sigma and xtalk, in chain order (rebuild() and apply_move() share it).
+  void fold_leaf(int k);
+
   struct NetState {
     NetSummary summary;
     double cap = 0.0;
@@ -265,10 +302,15 @@ class AssignmentState {
   mutable std::int64_t flushed_hits_ = 0;    ///< already in the registry.
   mutable std::int64_t flushed_misses_ = 0;
   std::vector<std::vector<int>> sinks_under_;
-  std::vector<std::vector<int>> nets_on_path_;
+  /// Leaf nets (nets driving at least one sink), indexed 0..n_leaves-1 in
+  /// order of their first sink node: each sink's leaf, each leaf's chain
+  /// of nets on its source path, and the leaves whose chain holds a net.
+  std::vector<int> leaf_of_sink_;
+  std::vector<std::vector<int>> leaf_chain_;
+  std::vector<std::vector<int>> leaves_under_;
+  std::vector<double> leaf_var_;    ///< sum of sigma^2 along the chain.
+  std::vector<double> leaf_xtalk_;  ///< sum of xtalk along the chain.
   std::vector<double> sink_latency_;
-  std::vector<double> sink_var_;
-  std::vector<double> sink_xtalk_;
   std::vector<double> win_lo_;  ///< raw windows (no margin).
   std::vector<double> win_hi_;
   /// Per-net clock-domain rate factors (clock_domains.hpp), all exactly
@@ -278,14 +320,9 @@ class AssignmentState {
   /// check_move bounds, and analyze_em agree bitwise).
   std::vector<double> net_weight_;
   std::vector<double> net_em_scale_;
-  /// Sum of sink latencies, two-level: block_sum_[b] sums sinks
-  /// [b*kLatencyBlock, (b+1)*kLatencyBlock) left to right, and latency_sum_
-  /// sums the blocks left to right. rebuild() and apply_move() share the
-  /// scheme, so a commit re-sums only its sinks' blocks and the block
-  /// vector. With at most one block of sinks it is bitwise the plain sum.
-  std::vector<double> block_sum_;
-  std::vector<int> dirty_blocks_;      ///< apply_move scratch.
-  std::vector<char> block_is_dirty_;  ///< apply_move scratch, all 0 at rest.
+  /// Sum of sink latencies: exact in `latency_acc_`, rounded once into
+  /// `latency_sum_` (what check_move reads).
+  ExactSum latency_acc_;
   double latency_sum_ = 0.0;
   netlist::RoutingUsage usage_;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "power/em.hpp"
 #include "timing/delay_metrics.hpp"
@@ -19,13 +21,10 @@ NetSummary summarize_net(const netlist::ClockTree& tree,
   s.driver_res = timing::net_driver_res(tree, tech, net, options);
   s.load_count = static_cast<int>(net.loads.size());
 
-  // Per-node path length from the driver, along the tree.
-  std::vector<double> dist(tree.size(), 0.0);
   geom::Path fallback(2);  // reused buffer for pathless (direct) wires.
   for (const int v : net.wires) {
     const netlist::TreeNode& n = tree.node(v);
     const double len = tree.edge_length(v);
-    dist[v] = dist[n.parent] + len;  // driver's dist is 0.
     s.wirelength += len;
     const geom::Path* path = &n.path;
     if (n.path.size() < 2) {
@@ -37,8 +36,26 @@ NetSummary summarize_net(const netlist::ClockTree& tree,
                         ? design.congestion.avg_occupancy(*path) * len
                         : 0.0;
   }
+  // Driver-to-load path lengths, by a walk down the net: its edges are the
+  // ones below the driver that stop at the next driver (build_nets' rule),
+  // so the walk is O(net) and needs no per-node buffer. Each distance is
+  // dist(parent) + edge length, and a max is order-free, so the result does
+  // not depend on the visiting order.
+  std::vector<std::pair<int, double>> stack{{net.driver, 0.0}};
+  while (!stack.empty()) {
+    const auto [v, dist] = stack.back();
+    stack.pop_back();
+    for (const int c : tree.node(v).children) {
+      const netlist::TreeNode& cn = tree.node(c);
+      const double d = dist + tree.edge_length(c);
+      if (cn.kind == netlist::NodeKind::kBuffer ||
+          cn.kind == netlist::NodeKind::kSink) {
+        s.max_path = std::max(s.max_path, d);
+      }
+      if (!cn.is_driver()) stack.emplace_back(c, d);
+    }
+  }
   for (const int load : net.loads) {
-    s.max_path = std::max(s.max_path, dist[load]);
     s.load_cap += extract::load_pin_cap(tree, design, tech, load);
   }
   return s;

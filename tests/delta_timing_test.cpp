@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "cts/embedding.hpp"
 #include "extract/net_geometry.hpp"
 #include "ndr/assignment_state.hpp"
 #include "ndr/smart_ndr.hpp"
@@ -164,7 +165,8 @@ TEST(DeltaTimingChurn, RandomMovesStayBitwiseIdenticalToRebuild) {
 // the annealer rely on apply_move alone. The congestion map is squeezed to
 // just above the blanket routing usage, so the routing check really binds
 // (wider-pitch moves get refused) and usage swings up and down through
-// near-capacity cells. The design spans several latency-sum blocks.
+// near-capacity cells. Leaf nets drive several sinks each under chains
+// several nets deep, so commits re-fold shared leaf chains.
 TEST(DeltaTimingChurn, LongChurnNearCapacityStaysBitwiseIdenticalToRebuild) {
   test::Flow f = test::small_flow(600, 41);
   const timing::AnalysisOptions aopt;
@@ -173,7 +175,6 @@ TEST(DeltaTimingChurn, LongChurnNearCapacityStaysBitwiseIdenticalToRebuild) {
   const int n_nets = f.nets.size();
   const int n_rules = f.tech.rules.size();
   const int n_sinks = static_cast<int>(f.design.sinks.size());
-  ASSERT_GT(n_sinks, 2 * kLatencyBlock);
   ASSERT_GT(f.design.congestion.cell_count(), 1);
   {
     const netlist::RoutingUsage at_blanket = route::compute_usage(
@@ -185,6 +186,19 @@ TEST(DeltaTimingChurn, LongChurnNearCapacityStaysBitwiseIdenticalToRebuild) {
   }
 
   AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  {
+    std::size_t deepest = 0;
+    int shared = 0;  ///< sinks whose leaf net drives an earlier sink too.
+    std::vector<char> leaf_seen(n_nets, 0);
+    for (int s = 0; s < n_sinks; ++s) {
+      const std::vector<int>& chain = state.nets_on_path(s);
+      deepest = std::max(deepest, chain.size());
+      if (leaf_seen[chain.front()]) ++shared;
+      leaf_seen[chain.front()] = 1;
+    }
+    ASSERT_GE(deepest, 3u);
+    ASSERT_GT(shared, n_sinks / 2);
+  }
   RuleAssignment a = blanket;
   state.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
                             &state.geometry_cache()));
@@ -231,6 +245,53 @@ TEST(DeltaTimingChurn, LongChurnNearCapacityStaysBitwiseIdenticalToRebuild) {
   state.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
                             &state.geometry_cache()));
   expect_bitwise_eq(snapshot(state, n_nets, n_sinks), before);
+}
+
+// Repeater chains (a short unbuffered-length budget) put every sink many
+// nets deep, as on large designs: a commit near the root re-folds many
+// leaf chains and swaps the latency quanta of most sinks.
+TEST(DeltaTimingChurn, DeepRepeaterChainsStayBitwiseIdenticalToRebuild) {
+  test::Flow f;
+  f.design = test::small_design(160, 12);
+  f.tech = tech::Technology::make_default_45nm();
+  cts::CtsOptions copt;
+  copt.max_unbuffered_len = 40.0;
+  f.cts = cts::synthesize(f.design, f.tech, copt);
+  f.nets = netlist::build_nets(f.cts.tree);
+  const timing::AnalysisOptions aopt;
+  const int n_nets = f.nets.size();
+  const int n_rules = f.tech.rules.size();
+  const int n_sinks = static_cast<int>(f.design.sinks.size());
+
+  RuleAssignment a = assign_all(f.nets, f.tech.rules.blanket_index());
+  AssignmentState state(f.cts.tree, f.design, f.tech, f.nets, aopt);
+  std::size_t shallowest = static_cast<std::size_t>(n_nets);
+  for (int s = 0; s < n_sinks; ++s) {
+    shallowest = std::min(shallowest, state.nets_on_path(s).size());
+  }
+  ASSERT_GE(shallowest, 16u);
+  state.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
+                            &state.geometry_cache()));
+  AssignmentState ref(f.cts.tree, f.design, f.tech, f.nets, aopt);
+
+  workload::Rng rng(20261019);
+  for (int move = 1; move <= 400; ++move) {
+    // Half the moves hit the upper third of the nets (root-first ids), so
+    // large subtrees churn too.
+    const int pool = move % 2 == 0 ? n_nets : std::max(1, n_nets / 3);
+    const int net_id = static_cast<int>(rng.uniform_int(pool));
+    int rule = static_cast<int>(rng.uniform_int(n_rules));
+    if (rule == state.rule_of(net_id)) rule = (rule + 1) % n_rules;
+    state.apply_move(net_id, rule, state.exact_eval(net_id, rule));
+    a[net_id] = rule;
+    if (move % 100 == 0) {
+      SCOPED_TRACE("move " + std::to_string(move));
+      ref.rebuild(a, evaluate(f.cts.tree, f.design, f.tech, f.nets, a, aopt,
+                              &state.geometry_cache()));
+      expect_bitwise_eq(snapshot(state, n_nets, n_sinks),
+                        snapshot(ref, n_nets, n_sinks));
+    }
+  }
 }
 
 TEST(DeltaTimingChurn, ChurnIsThreadCountInvariant) {

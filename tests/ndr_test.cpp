@@ -155,6 +155,23 @@ TEST_F(NetEvalFixture, SummaryFieldsSane) {
   }
 }
 
+TEST_F(NetEvalFixture, MaxPathMatchesRootFirstDistances) {
+  // Reference: per-node driver distances over the net's root-first wires,
+  // then the farthest load. summarize_net's walk must agree bitwise.
+  std::vector<double> dist(f.cts.tree.size(), 0.0);
+  for (const auto& net : f.nets.nets) {
+    dist[net.driver] = 0.0;
+    for (const int v : net.wires) {
+      dist[v] = dist[f.cts.tree.node(v).parent] + f.cts.tree.edge_length(v);
+    }
+    double want = 0.0;
+    for (const int load : net.loads) want = std::max(want, dist[load]);
+    EXPECT_EQ(summarize_net(f.cts.tree, f.design, f.tech, net, aopt).max_path,
+              want)
+        << "net " << net.id;
+  }
+}
+
 TEST_F(NetEvalFixture, ExactEvalConsistentWithRuleDirection) {
   // With a strong driver (wire-resistance-dominated regime), widening the
   // wires lowers worst step slew; spacing lowers crosstalk; width lowers the
