@@ -109,8 +109,8 @@ void BM_ElmoreAndMoments(benchmark::State& state) {
   const auto par = ex.extract_net(f.cts.tree, f.nets[0],
                                   f.tech.rules.blanket_rule());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(par.rc.elmore_delay(100.0, 1.0));
-    benchmark::DoNotOptimize(par.rc.second_moment(100.0, 1.0));
+    benchmark::DoNotOptimize(legacy_elmore(par.rc, 100.0, 1.0));
+    benchmark::DoNotOptimize(legacy_second_moment(par.rc, 100.0, 1.0));
   }
 }
 BENCHMARK(BM_ElmoreAndMoments);
@@ -327,8 +327,9 @@ void record_two_phase_kernels(std::vector<bench::RuntimeRecord>& records) {
 /// PR acceptance pair for the batched rule-sweep kernels: per-net cost of
 /// scoring EVERY rule of an extended 8-rule set, scalar (one materialize +
 /// one fused kernel stack per rule, in warm scratch — the pre-batch memo
-/// miss path) against the batched sweep (one SoA materialize + multi-lane
-/// fused kernels, scratch carved from an arena). Results are bit-identical
+/// miss path) against the batched sweep (a one-net batch: one SoA
+/// materialize + multi-lane fused kernels, scratch carved from an arena —
+/// today's memo miss path). Results are bit-identical
 /// by contract (tests/batch_kernel_test.cpp); only the cost differs.
 void record_rule_sweep(std::vector<bench::RuntimeRecord>& records) {
   using Clock = std::chrono::steady_clock;
@@ -386,8 +387,9 @@ void record_rule_sweep(std::vector<bench::RuntimeRecord>& records) {
   std::vector<ndr::NetExact> row(static_cast<std::size_t>(n_rules));
   const double batch_s = best_of_5([&] {
     for (const netlist::Net& net : f.nets.nets) {
-      ndr::evaluate_net_exact_all_rules(cache.geometry(net.id), wide,
-                                        driver_res, freq, arena, row.data());
+      const extract::NetGeometry* geom = &cache.geometry(net.id);
+      ndr::evaluate_nets_exact_all_rules(&geom, &driver_res, 1, wide, freq,
+                                         arena, row.data());
       benchmark::DoNotOptimize(row);
     }
   });
@@ -617,6 +619,7 @@ void record_thread_ladder() {
   const extract::Extractor ex(f.tech, f.design);
   const std::vector<int> rules(f.nets.size(), f.tech.rules.blanket_index());
   const auto par = ex.extract_all(f.cts.tree, f.nets, rules);
+  const extract::GeometryCache cache(f.cts.tree, f.design, f.nets);
 
   std::vector<bench::RuntimeRecord> records;
   record_two_phase_kernels(records);
@@ -655,7 +658,7 @@ void record_thread_ladder() {
     });
     time_stage("predictor_train", threads, [&] {
       ndr::RuleImpactPredictor::train(f.cts.tree, f.design, f.tech, f.nets,
-                                      timing::AnalysisOptions{});
+                                      cache, timing::AnalysisOptions{});
     });
   }
   common::set_thread_count(-1);

@@ -96,13 +96,18 @@ echo "== tier1: Debug build (asserts on) + incremental-state tests =="
 # Every leg above compiles with -DNDEBUG. AssignmentState::rebuild() asserts
 # that the incrementally maintained state (latencies, leaf uncertainty
 # chains, the exact latency sum, routing usage) equals a fresh evaluation
-# BITWISE; this leg is where those asserts run.
+# BITWISE, and materialize_nets_batch asserts that its lanes share one
+# geometry shape (it serves every exact eval and every corner
+# materialize); this leg is where those asserts run.
 cmake -B "$repo/build-debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build "$repo/build-debug" -j "$jobs" --target assignment_state_test \
-  --target delta_timing_test --target ndr_test --target scenario_fuzz_test
+  --target delta_timing_test --target ndr_test --target scenario_fuzz_test \
+  --target batch_kernel_test --target net_batch_test
 "$repo/build-debug/tests/assignment_state_test"
 "$repo/build-debug/tests/delta_timing_test"
 "$repo/build-debug/tests/ndr_test"
+"$repo/build-debug/tests/batch_kernel_test"
+"$repo/build-debug/tests/net_batch_test"
 SNDR_FUZZ_ITERS="${SNDR_FUZZ_ITERS_DEBUG:-4}" \
   "$repo/build-debug/tests/scenario_fuzz_test"
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +12,7 @@
 #include "flow/checkpoint.hpp"
 #include "flow/flow.hpp"
 #include "flow/session.hpp"
+#include "io/line_reader.hpp"
 #include "ndr/assignment_state.hpp"
 #include "obs/scope.hpp"
 
@@ -20,26 +20,15 @@ namespace sndr::dse {
 
 namespace {
 
+using io::hexfloat;
+using io::parse_hexfloat;
+using io::read_hexfloat;
+
 constexpr const char* kSweepSchema = "sndr.dse_sweep/2";
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// istream operator>> does not accept hexfloat; strtod does.
-bool read_hexfloat(std::istream& is, double& out) {
-  std::string tok;
-  if (!(is >> tok)) return false;
-  char* end = nullptr;
-  out = std::strtod(tok.c_str(), &end);
-  return end != tok.c_str() && *end == '\0';
 }
 
 /// Shortest-round-trip decimal for the human-facing artifacts (the
@@ -364,8 +353,14 @@ common::Result<SweepCheckpoint> load_sweep_checkpoint(
         return false;
       }
       if (!next(is) || !expect_key(is, "arrival")) return false;
+      // Every token must parse: one bad (or non-finite) arrival rejects the
+      // block rather than silently ending the list early.
+      std::string tok;
       double a = 0.0;
-      while (read_hexfloat(is, a)) p.sink_arrival.push_back(a);
+      while (is >> tok) {
+        if (!parse_hexfloat(tok, a)) return false;
+        p.sink_arrival.push_back(a);
+      }
       if (p.sink_arrival.empty()) return false;
       if (!next(is) || !expect_key(is, "assignment")) return false;
       int r = 0;

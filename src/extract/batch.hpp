@@ -1,25 +1,31 @@
-// Rule-batched electrical phase of two-phase extraction.
+// Lane-batched electrical phase of two-phase extraction.
 //
-// The optimizer's candidate sweep, the annealer's memo warm-up, and corner
-// analysis all evaluate the SAME NetGeometry under several electrical
-// contexts (rules, or derated technology clones). The scalar path walks the
-// piece arrays once per context; the batched path here walks them once
-// TOTAL, with the context loop innermost over contiguous lanes — the planes
-// are laid out node-major × lane-minor (plane[node * lanes + lane]), so the
-// inner loop is a unit-stride streak the compiler auto-vectorizes.
+// One kernel family serves every batched caller. A lane is a (net
+// geometry, technology, rule) triple, and all lanes of one call share the
+// same geometry SHAPE (piece topology and load attach indices), so the
+// kernels walk the shared piece topology once with the lane loop
+// innermost:
 //
-// Determinism contract (non-negotiable, inherited from PR 1/2): for every
-// lane, the sequence of floating-point operations applied to that lane's
-// values is EXACTLY the scalar kernel's sequence — the batch only
-// interleaves independent lanes, it never reassociates within one. Batched
-// results are therefore bit-identical to running materialize() /
-// rc_moments() per rule, which remain the reference implementation (and
-// the path used for single-context evaluation, where batching buys
-// nothing). tests/batch_kernel_test.cpp pins this per (rule, corner).
+//  * the rule sweep of one net is a one-net batch (one lane per rule);
+//  * the memo warm-up and predictor labelling batch several same-shaped
+//    nets × every rule (see bucket_nets_by_shape);
+//  * corner signoff is a batch whose lanes all point at one geometry,
+//    one derated technology clone per lane.
+//
+// Planes are laid out node-major × lane-minor (plane[node * lanes + lane]),
+// so the inner loop is a unit-stride streak the compiler auto-vectorizes.
+//
+// Determinism contract (non-negotiable): for every lane, the sequence of
+// floating-point operations applied to that lane's values is EXACTLY the
+// scalar kernel's sequence — the batch only interleaves independent lanes,
+// it never reassociates within one. Batched results are therefore
+// bit-identical to running materialize() / rc_moments() per lane, which
+// remain the reference implementation. tests/batch_kernel_test.cpp and
+// tests/net_batch_test.cpp pin this per (net, rule, corner).
 //
 // All scratch comes from a caller-provided common::Arena: plane pointers
 // returned here are valid until the arena is reset (typically once per
-// net), so a warm per-thread arena makes the whole batched evaluation
+// batch), so a warm per-thread arena makes the whole batched evaluation
 // allocation-free.
 #pragma once
 
@@ -31,18 +37,10 @@
 
 namespace sndr::extract {
 
-/// One lane of a batched evaluation: an electrical context to score the
-/// shared geometry under. The rule sweep uses one technology × R rules;
-/// corner analysis uses C derated technology clones × the assigned rule.
-struct EvalLane {
-  const tech::Technology* tech = nullptr;
-  const tech::RoutingRule* rule = nullptr;
-};
-
-/// Per-lane R/C planes of one net, node-major × lane-minor. Node 0 is the
+/// Per-lane R/C planes of one batch, node-major × lane-minor. Node 0 is the
 /// driver (res row zero), node i+1 corresponds to geometry piece i — the
 /// same indexing as the scalar RcTree. Plane storage lives in the arena
-/// passed to materialize_batch; the struct itself is just the view.
+/// passed to materialize_nets_batch; the struct itself is just the view.
 struct BatchParasitics {
   int nodes = 0;
   int lanes = 0;
@@ -52,15 +50,12 @@ struct BatchParasitics {
   double* cap_gnd = nullptr;
   double* cap_cpl = nullptr;
 
-  // [nodes] lane-independent topology/provenance (arena copies so kernels
-  // never touch the NetGeometry vectors).
-  const std::int32_t* parent = nullptr;  ///< parent node, -1 for node 0.
-  const double* wire_len = nullptr;      ///< um of the parent edge, 0 at 0.
+  /// [nodes] shared topology (an arena copy, so kernels never touch the
+  /// NetGeometry vectors); -1 for node 0.
+  const std::int32_t* parent = nullptr;
 
-  /// [nodes × lanes] per-lane edge lengths, set only by the cross-net
-  /// materialize (materialize_nets_batch), where lanes are different nets
-  /// and piece lengths differ per lane; `wire_len` is null there. Exactly
-  /// one of wire_len / wire_len_lane is non-null after a materialize.
+  /// [nodes × lanes] um of each lane's parent edge, 0 at node 0. Lanes may
+  /// be different nets, so lengths are per lane.
   const double* wire_len_lane = nullptr;
 
   // [lanes] totals, same accumulation order as the scalar materialize.
@@ -68,51 +63,37 @@ struct BatchParasitics {
   double* wire_cap_cpl = nullptr;
   double* load_cap = nullptr;
 
-  double wirelength = 0.0;  ///< um, lane-independent.
-
   std::int64_t at(int node, int lane) const {
     return static_cast<std::int64_t>(node) * lanes + lane;
   }
 };
 
-/// Electrical phase for all lanes in one pass over the pieces (inner loop
-/// over lanes). Per lane bit-identical to materialize(geom, lane.tech,
-/// lane.rule, out). Plane storage is carved from `arena` (which must
-/// outlive the use of `out`; nothing is reset here).
-void materialize_batch(const NetGeometry& geom, const EvalLane* lanes,
-                       int n_lanes, common::Arena& arena,
-                       BatchParasitics& out);
-
-/// Rule-sweep convenience: one lane per rule of `rules` under `tech`.
-void materialize_batch(const NetGeometry& geom, const tech::Technology& tech,
-                       const tech::RuleSet& rules, common::Arena& arena,
-                       BatchParasitics& out);
-
 /// Copies one lane out into scalar NetParasitics (bit-identical to a scalar
-/// materialize of that lane's context). Used by corner analysis to feed the
-/// per-corner whole-tree evaluators from the shared batch planes.
+/// materialize of that lane's context); `geom` is that lane's geometry.
+/// Used by corner analysis to feed the per-corner whole-tree evaluators
+/// from the shared batch planes.
 void scatter_lane(const NetGeometry& geom, const BatchParasitics& batch,
                   int lane, NetParasitics& out);
 
-/// One lane of a CROSS-NET batched evaluation: a (net geometry, electrical
-/// context) pair. All lanes of one call must share the same geometry SHAPE —
+/// One lane of a batched evaluation: a (net geometry, electrical context)
+/// triple. All lanes of one call must share the same geometry SHAPE —
 /// identical piece_parent arrays and identical load rc_index arrays (see
 /// bucket_nets_by_shape) — so the RC kernels can run off one shared parent
 /// array while piece lengths, occupancies, and load caps stay per lane.
-/// This is how single-rule sweeps over many nets fill the SIMD lanes that
-/// the per-net rule sweep fills with rules.
+/// Lanes of one net (a rule sweep, or derated corner clones) are trivially
+/// same-shaped.
 struct NetLane {
   const NetGeometry* geom = nullptr;
   const tech::Technology* tech = nullptr;
   const tech::RoutingRule* rule = nullptr;
 };
 
-/// Cross-net electrical phase: one pass over the shared piece topology with
-/// the lane loop innermost, per lane bit-identical to materialize(
-/// *lanes[l].geom, *lanes[l].tech, *lanes[l].rule, out). Because piece
-/// lengths differ per lane, `out.wire_len` stays null and the per-lane
-/// lengths land in `out.wire_len_lane` ([nodes × lanes]). All lanes must be
-/// shape-compatible (asserted in debug builds).
+/// Electrical phase for all lanes: one pass over the shared piece topology
+/// with the lane loop innermost, per lane bit-identical to materialize(
+/// *lanes[l].geom, *lanes[l].tech, *lanes[l].rule, out). Plane storage is
+/// carved from `arena` (which must outlive the use of `out`; nothing is
+/// reset here). All lanes must be shape-compatible (asserted in debug
+/// builds).
 void materialize_nets_batch(const NetLane* lanes, int n_lanes,
                             common::Arena& arena, BatchParasitics& out);
 
@@ -131,19 +112,14 @@ struct NetShapeBuckets {
 /// into singleton groups and simply run with one lane.
 NetShapeBuckets bucket_nets_by_shape(const GeometryCache& cache);
 
-/// Per-lane moment planes ([nodes × lanes] each), arena-backed.
-struct BatchMoments {
-  int nodes = 0;
-  int lanes = 0;
-  double* down = nullptr;     ///< downstream cap (Miller-weighted).
-  double* m1 = nullptr;       ///< Elmore delay per node.
-  double* m2 = nullptr;       ///< circuit second moment per node.
-  double* subtree = nullptr;  ///< fused-kernel accumulator (see rc_tree.hpp).
-
-  std::int64_t at(int node, int lane) const {
-    return static_cast<std::int64_t>(node) * lanes + lane;
-  }
-};
+/// Deterministic cross-net batch plan: groups `net_ids` by shape bucket
+/// (bucket order, then input order within a bucket) and chunks each group
+/// so one kernel call carries ~32 lanes (nets × `rules_per_net`). Entries
+/// of the result are POSITIONS into `net_ids`. The plan depends only on
+/// its inputs, never on the thread count.
+std::vector<std::vector<int>> plan_net_batches(const NetShapeBuckets& buckets,
+                                               const std::vector<int>& net_ids,
+                                               int rules_per_net);
 
 // Low-level plane kernels. `parent` is the per-node parent array
 // (parent[0] == -1) and all planes are node-major × lane-minor with the
@@ -169,12 +145,5 @@ void rc_moments_batch(int nodes, int lanes, const std::int32_t* parent,
                       const double* cap_cpl, const double* driver_res,
                       const double* miller, double* down, double* subtree,
                       double* m1, double* m2);
-
-/// materialize_batch + rc_moments_batch in one call: the "score every rule"
-/// fast path. Moment planes are carved from the same arena.
-void moments_batch(const NetGeometry& geom, const EvalLane* lanes,
-                   int n_lanes, const double* driver_res,
-                   const double* miller, common::Arena& arena,
-                   BatchParasitics& par, BatchMoments& out);
 
 }  // namespace sndr::extract

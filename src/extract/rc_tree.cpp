@@ -93,25 +93,4 @@ void RcTree::moments(double driver_res, double miller, RcMoments& out) const {
              out.subtree.data(), out.m1.data(), out.m2.data());
 }
 
-std::vector<double> RcTree::downstream_cap(double miller) const {
-  std::vector<double> down(nodes_.size());
-  rc_downstream(nodes_.data(), size(), miller, down.data());
-  return down;
-}
-
-std::vector<double> RcTree::elmore_delay(double driver_res,
-                                         double miller) const {
-  std::vector<double> down(nodes_.size());
-  std::vector<double> m1(nodes_.size());
-  rc_elmore(nodes_.data(), size(), driver_res, miller, down.data(), m1.data());
-  return m1;
-}
-
-std::vector<double> RcTree::second_moment(double driver_res,
-                                          double miller) const {
-  RcMoments scratch;
-  moments(driver_res, miller, scratch);
-  return std::move(scratch.m2);
-}
-
 }  // namespace sndr::extract

@@ -48,8 +48,8 @@ struct RcMoments {
 /// including) node i.
 void rc_downstream(const RcNode* nodes, int n, double miller, double* down);
 
-/// Two sweeps: downstream cap + Elmore delay (m1). Identical arithmetic to
-/// the historical RcTree::elmore_delay.
+/// Two sweeps: downstream cap + Elmore delay (m1): delay[i] = Rdrv*Ctot +
+/// sum_{edges e on path to i} R_e * Cdown(e).
 void rc_elmore(const RcNode* nodes, int n, double driver_res, double miller,
                double* down, double* m1);
 
@@ -76,26 +76,13 @@ class RcTree {
   double total_cap_gnd() const;
   double total_cap_cpl() const;
 
-  /// Capacitance downstream of (and including) each node, with the given
-  /// Miller weight on coupling caps. downstream[0] is the total net cap the
-  /// driver sees.
-  std::vector<double> downstream_cap(double miller) const;
-
-  /// Elmore delay from the driver output (node 0) to every node, given the
-  /// driver's linearized output resistance. delay[i] = Rdrv*Ctot +
-  /// sum_{edges e on path to i} R_e * Cdown(e).
-  std::vector<double> elmore_delay(double driver_res, double miller) const;
-
-  /// Circuit second moment at every node (same driver model):
-  /// m2_i = sum_k R_shared(i,k) C_k m1_k, i.e. the magnitude of the s^2
-  /// transfer-function coefficient. The second *time* moment is 2*m2.
-  /// Used by the D2M delay metric and the slew estimate.
-  std::vector<double> second_moment(double driver_res, double miller) const;
-
-  /// Fused kernel: downstream cap, m1 and m2 for every node in two sweeps
-  /// total, written into caller-provided scratch (no allocation after the
-  /// scratch has warmed up). Equivalent to calling the three legacy entry
-  /// points above, which are now thin wrappers over this.
+  /// Fused kernel: downstream cap (Miller-weighted on coupling; down[0] is
+  /// the total net cap the driver sees), Elmore delay m1 from the driver
+  /// output given the driver's linearized output resistance, and the
+  /// circuit second moment m2 (the magnitude of the s^2 transfer-function
+  /// coefficient; the second *time* moment is 2*m2) for every node, in two
+  /// sweeps total, written into caller-provided scratch (no allocation
+  /// after the scratch has warmed up).
   void moments(double driver_res, double miller, RcMoments& out) const;
 
   /// Clears the tree to `size` >= 1 default nodes (node 0 the driver) so a

@@ -1,32 +1,20 @@
 #include "flow/checkpoint.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "io/line_reader.hpp"
+
 namespace sndr::flow {
 
 namespace {
 
+using io::hexfloat;
+using io::read_hexfloat;
+
 constexpr const char* kMagic = kCheckpointSchema;
-
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// istream operator>> does not accept hexfloat; strtod does.
-bool read_hexfloat(std::istream& is, double& out) {
-  std::string tok;
-  if (!(is >> tok)) return false;
-  char* end = nullptr;
-  out = std::strtod(tok.c_str(), &end);
-  return end != tok.c_str() && *end == '\0';
-}
 
 /// One `key value...` line per field; assignment vectors are
 /// space-separated rule indices on a single line.

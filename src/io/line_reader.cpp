@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
 
 namespace sndr::io {
@@ -116,5 +118,22 @@ bool Tokenizer::next_int(int& out) {
 }
 
 bool Tokenizer::exhausted() const { return skip_space(rest_).empty(); }
+
+std::string hexfloat(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+bool parse_hexfloat(const std::string& tok, double& out) {
+  char* end = nullptr;
+  out = std::strtod(tok.c_str(), &end);
+  return end != tok.c_str() && *end == '\0' && std::isfinite(out);
+}
+
+bool read_hexfloat(std::istream& is, double& out) {
+  std::string tok;
+  return static_cast<bool>(is >> tok) && parse_hexfloat(tok, out);
+}
 
 }  // namespace sndr::io

@@ -13,6 +13,8 @@
 //    allocation, no whole-file string, memory bounded by the longest line.
 //  * Tokenizer — whitespace splitting plus std::from_chars numeric
 //    parsing over one line, replacing istringstream in the hot loop.
+//  * hexfloat / read_hexfloat — the bit-exact double text form of the
+//    resumable state files (anneal checkpoint, DSE sweep log).
 //
 // Line numbering stays with the caller, so ParseError diagnostics keep
 // their exact path:line shape.
@@ -106,5 +108,18 @@ class Tokenizer {
  private:
   std::string_view rest_;
 };
+
+/// `v` as a C99 hexfloat ("%a"), which round-trips a double bit-exactly.
+std::string hexfloat(double v);
+
+/// Parses one whole token written by hexfloat() (strtod syntax, so
+/// decimals parse too). False on an empty token, trailing text, or a
+/// non-finite value (nan/inf): resumable state never holds one, so such a
+/// token is corruption, not a value to resume from.
+bool parse_hexfloat(const std::string& tok, double& out);
+
+/// Reads the next whitespace-delimited token of `is` and parses it with
+/// parse_hexfloat (istream operator>> does not accept hexfloats).
+bool read_hexfloat(std::istream& is, double& out);
 
 }  // namespace sndr::io

@@ -1,6 +1,7 @@
 #include "io/spef.hpp"
 
 #include <fstream>
+#include <cmath>
 #include <iomanip>
 #include <stdexcept>
 #include <string_view>
@@ -128,6 +129,12 @@ namespace {
                            what);
 }
 
+/// Next token as a physical magnitude: a finite number >= 0 (from_chars
+/// accepts "nan" and "inf", which must not load silently).
+bool next_magnitude(Tokenizer& ls, double& out) {
+  return ls.next_double(out) && std::isfinite(out) && out >= 0.0;
+}
+
 double unit_scale(const std::string& source, std::string_view mult,
                   std::string_view unit, int line_no) {
   // Full-token from_chars (not std::stod): a malformed multiplier must
@@ -135,9 +142,11 @@ double unit_scale(const std::string& source, std::string_view mult,
   // std::invalid_argument and classify as an I/O failure.
   double m = 0.0;
   Tokenizer ms(mult);
-  if (!ms.next_double(m) || !ms.exhausted()) {
+  if (!ms.next_double(m) || !ms.exhausted() || !std::isfinite(m) ||
+      m <= 0.0) {
     spef_error(source, line_no,
-               "bad unit multiplier '" + std::string(mult) + "'");
+               "bad unit multiplier '" + std::string(mult) +
+                   "' (want a finite number > 0)");
   }
   if (unit == "PS") return m * 1e-12;
   if (unit == "NS") return m * 1e-9;
@@ -185,8 +194,9 @@ SpefFile read_spef_lines(LineSource& src, const std::string& source) {
       SpefNet net;
       std::string_view name;
       double total = 0.0;
-      if (!ls.next(name) || !ls.next_double(total)) {
-        spef_error(source, line_no, "bad *D_NET");
+      if (!ls.next(name) || !next_magnitude(ls, total)) {
+        spef_error(source, line_no,
+                   "bad *D_NET (want a name and a finite total cap >= 0)");
       }
       net.name = std::string(name);
       net.total_cap = total;  // scaled after units are final, below.
@@ -211,8 +221,9 @@ SpefFile read_spef_lines(LineSource& src, const std::string& source) {
       Tokenizer head(tok);
       std::string_view node;
       double cap = 0.0;
-      if (!head.next_int(idx) || !ls.next(node) || !ls.next_double(cap)) {
-        spef_error(source, line_no, "bad *CAP entry");
+      if (!head.next_int(idx) || !ls.next(node) || !next_magnitude(ls, cap)) {
+        spef_error(source, line_no,
+                   "bad *CAP entry (want <index> <node> <finite cap >= 0>)");
       }
       current->caps.emplace_back(std::string(node), cap * out.cap_unit);
     } else if (current != nullptr && section == Section::kRes) {
@@ -224,8 +235,9 @@ SpefFile read_spef_lines(LineSource& src, const std::string& source) {
       std::string_view b;
       double ohm = 0.0;
       if (!head.next_int(idx) || !ls.next(a) || !ls.next(b) ||
-          !ls.next_double(ohm)) {
-        spef_error(source, line_no, "bad *RES entry");
+          !next_magnitude(ls, ohm)) {
+        spef_error(source, line_no,
+                   "bad *RES entry (want <index> <a> <b> <finite ohm >= 0>)");
       }
       r.a = std::string(a);
       r.b = std::string(b);

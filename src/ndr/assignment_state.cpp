@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -333,7 +334,6 @@ void AssignmentState::apply_move(int net_id, int rule_idx,
   ExactCacheEntry& e =
       exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + rule_idx];
   e.exact = exact;
-  e.exact.par = extract::NetParasitics{};
   e.gen = ctx_gen_[net_id];
 
   assignment_[net_id] = rule_idx;
@@ -375,69 +375,18 @@ void AssignmentState::warm_rows(const std::vector<int>& net_ids) const {
   cold.erase(std::unique(cold.begin(), cold.end()), cold.end());
   if (cold.empty()) return;
 
-  // Deterministic batch plan: group cold nets by geometry shape, then chunk
-  // each group so one kernel call carries ~32 lanes (nets × rules). The
-  // plan depends only on the cold set, never on the thread count.
-  const int max_nets = std::max(1, 32 / std::max(1, n_rules_));
-  std::vector<std::vector<int>> batches;
-  {
-    std::vector<std::vector<int>> per_group(shape_buckets_.groups.size());
-    for (const int id : cold) {
-      per_group[shape_buckets_.group_of[id]].push_back(id);
-    }
-    for (const std::vector<int>& group : per_group) {
-      for (std::size_t at = 0; at < group.size();
-           at += static_cast<std::size_t>(max_nets)) {
-        const std::size_t end =
-            std::min(group.size(), at + static_cast<std::size_t>(max_nets));
-        batches.emplace_back(group.begin() + at, group.begin() + end);
-      }
-    }
-  }
-
   // Each batch fills the memo rows of disjoint nets, so workers never
   // touch the same cache slot; values are bitwise equal to the lazy
   // exact_eval path, making the warm-up invisible to every consumer.
-  common::parallel_for(
-      static_cast<std::int64_t>(batches.size()), /*grain=*/1,
-      [&](std::int64_t b) {
-        const std::vector<int>& ids = batches[static_cast<std::size_t>(b)];
-        thread_local common::Arena arena;
-        thread_local std::vector<const extract::NetGeometry*> geoms;
-        thread_local std::vector<double> dres;
-        thread_local std::vector<NetExact> out;
-        geoms.resize(ids.size());
-        dres.resize(ids.size());
-        out.resize(ids.size() * static_cast<std::size_t>(n_rules_));
-        // The whole batch stays pinned for the kernel call (budgeted
-        // geometry caches evict only unpinned entries).
-        std::vector<extract::GeometryCache::Pinned> pins;
-        pins.reserve(ids.size());
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          pins.push_back(geometry_->pinned(ids[i]));
-          geoms[i] = pins.back().get();
-          dres[i] = nets_state_[ids[i]].summary.driver_res;
-        }
-        evaluate_nets_exact_all_rules(geoms.data(), dres.data(),
-                                      static_cast<int>(ids.size()), *tech_,
-                                      design_->constraints.clock_freq, arena,
-                                      out.data());
-        if (geometry_->budgeted()) arena.shrink_to(geometry_->budget_bytes());
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          const int id = ids[i];
-          const std::uint64_t gen = ctx_gen_[id];
-          for (int r = 0; r < n_rules_; ++r) {
-            ExactCacheEntry& er =
-                exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r];
-            er.exact = out[i * static_cast<std::size_t>(n_rules_) +
-                           static_cast<std::size_t>(r)];
-            // Clock-domain RMS scaling, applied at memo-fill time (see
-            // exact_eval); x * 1.0 keeps the neutral case bit-identical.
-            er.exact.em_peak *= net_em_scale_[id];
-            er.gen = gen;
-          }
-        }
-      });
+  std::vector<std::vector<int>> batches =
+      extract::plan_net_batches(shape_buckets_, cold, n_rules_);
+  for (std::vector<int>& batch : batches) {
+    for (int& k : batch) k = cold[static_cast<std::size_t>(k)];
+  }
+  common::parallel_for(static_cast<std::int64_t>(batches.size()),
+                       /*grain=*/1, [&](std::int64_t b) {
+                         fill_rows(batches[static_cast<std::size_t>(b)]);
+                       });
 
   cache_misses_ += static_cast<std::int64_t>(cold.size());
   SNDR_COUNTER_ADD("extract.net_batch.lanes",
@@ -529,31 +478,51 @@ NetExact AssignmentState::exact_eval(int net_id, int rule_idx) const {
   // query on this net under the same context is a hit. One miss is
   // counted per row fill; per-rule results are bit-identical to the
   // scalar evaluate_net_exact, which tests/batch_kernel_test.cpp pins.
+  fill_rows(std::span<const int>(&net_id, 1));
+  return e.exact;
+}
+
+void AssignmentState::fill_rows(std::span<const int> ids) const {
   thread_local common::Arena arena;
-  thread_local std::vector<NetExact> row;
-  row.resize(static_cast<std::size_t>(n_rules_));
+  thread_local std::vector<const extract::NetGeometry*> geoms;
+  thread_local std::vector<double> dres;
+  thread_local std::vector<NetExact> out;
+  geoms.resize(ids.size());
+  dres.resize(ids.size());
+  out.resize(ids.size() * static_cast<std::size_t>(n_rules_));
   {
-    const extract::GeometryCache::Pinned pin = geometry_->pinned(net_id);
-    evaluate_net_exact_all_rules(*pin, *tech_,
-                                 nets_state_[net_id].summary.driver_res,
-                                 design_->constraints.clock_freq, arena,
-                                 row.data());
+    // The whole batch stays pinned for the kernel call (budgeted geometry
+    // caches evict only unpinned entries).
+    std::vector<extract::GeometryCache::Pinned> pins;
+    pins.reserve(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      pins.push_back(geometry_->pinned(ids[i]));
+      geoms[i] = pins.back().get();
+      dres[i] = nets_state_[ids[i]].summary.driver_res;
+    }
+    evaluate_nets_exact_all_rules(geoms.data(), dres.data(),
+                                  static_cast<int>(ids.size()), *tech_,
+                                  design_->constraints.clock_freq, arena,
+                                  out.data());
   }
   if (geometry_->budgeted()) arena.shrink_to(geometry_->budget_bytes());
-  const std::uint64_t gen = ctx_gen_[net_id];
-  for (int r = 0; r < n_rules_; ++r) {
-    ExactCacheEntry& er =
-        exact_cache_[static_cast<std::size_t>(net_id) * n_rules_ + r];
-    er.exact = row[static_cast<std::size_t>(r)];
-    // The kernels evaluate EM at the root clock rate; the net's domain
-    // scale is applied here, once, as the row is memoized — so every
-    // consumer (greedy feasibility, annealer vetoes, repair) sees the
-    // same scaled density analyze_em reports. Neutral scale == 1.0 keeps
-    // the single-domain world bit-identical.
-    er.exact.em_peak *= net_em_scale_[net_id];
-    er.gen = gen;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const int id = ids[i];
+    const std::uint64_t gen = ctx_gen_[id];
+    for (int r = 0; r < n_rules_; ++r) {
+      ExactCacheEntry& er =
+          exact_cache_[static_cast<std::size_t>(id) * n_rules_ + r];
+      er.exact = out[i * static_cast<std::size_t>(n_rules_) +
+                     static_cast<std::size_t>(r)];
+      // The kernels evaluate EM at the root clock rate; the net's domain
+      // scale is applied here, once, as the row is memoized — so every
+      // consumer (greedy feasibility, annealer vetoes, repair) sees the
+      // same scaled density analyze_em reports. Neutral scale == 1.0 keeps
+      // the single-domain world bit-identical.
+      er.exact.em_peak *= net_em_scale_[id];
+      er.gen = gen;
+    }
   }
-  return e.exact;
 }
 
 }  // namespace sndr::ndr

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ndr/evaluation.hpp"
@@ -160,11 +161,9 @@ class AssignmentState {
   /// are the invalidation points: each advances a net's stamp (dropping
   /// its cached row) iff that input changed — rebuild() re-derives the
   /// context per net; a move changes no exact-eval input, so the cache
-  /// survives both in the common case. Both hits and misses return the
-  /// scalar metrics with `par` left empty (no caller consumes the
-  /// parasitics; the cache stays a few doubles per entry instead of a
-  /// full RC tree). A miss warms the WHOLE rule row: the batched kernels
-  /// (evaluate_net_exact_all_rules) score every rule in one fused pass
+  /// survives both in the common case. A miss warms the WHOLE rule row:
+  /// the batched kernels (a one-net evaluate_nets_exact_all_rules) score
+  /// every rule in one fused pass
   /// over the shared GeometryCache — no geometry walk, no congestion
   /// query, no allocation past a warm per-thread arena — and one miss is
   /// counted per row fill, so hit rates read as "rows already warm".
@@ -252,15 +251,16 @@ class AssignmentState {
     return nets_state_[net_id].wire_delay;
   }
 
-  /// Same-shape net groups shared by warm_rows and the predictor.
-  const extract::NetShapeBuckets& shape_buckets() const {
-    return shape_buckets_;
-  }
-
  private:
   /// Re-folds leaf `k`'s variance / crosstalk from the current per-net
   /// sigma and xtalk, in chain order (rebuild() and apply_move() share it).
   void fold_leaf(int k);
+
+  /// Fills the whole memo row of every net in `ids` (same-shaped nets) with
+  /// one batched kernel call: EM domain scale and context stamp applied,
+  /// the per-thread arena shrunk to a geometry budget. exact_eval's miss
+  /// path and warm_rows share it; callers count the misses.
+  void fill_rows(std::span<const int> ids) const;
 
   struct NetState {
     NetSummary summary;
@@ -289,7 +289,7 @@ class AssignmentState {
   /// never valid: context stamps start at 1 and only grow).
   struct ExactCacheEntry {
     std::uint64_t gen = 0;
-    NetExact exact;  ///< scalars only; par is cleared before caching.
+    NetExact exact;
   };
 
   RuleAssignment assignment_;

@@ -63,6 +63,8 @@ MultiCornerReport evaluate_corners(
   SNDR_COUNTER_ADD("ndr.corner_signoffs", 1);
   SNDR_COUNTER_ADD("ndr.corners_evaluated",
                    static_cast<std::int64_t>(corners.size()));
+  MultiCornerReport rep;
+  if (corners.empty()) return rep;  // a batch needs at least one lane.
   // Geometry is corner-invariant: derating touches electrical coefficients
   // only, never routed paths or congestion. Build the cache once (unless
   // the caller shares theirs) and every corner materializes from it.
@@ -78,12 +80,12 @@ MultiCornerReport evaluate_corners(
     cornered.push_back(tech::apply_corner(tech, corner));
   }
 
-  // Extraction is hoisted out of the per-corner evaluations: the derated
-  // clones are just extra lanes of the batched materialize, so every net's
-  // piece arrays are walked once TOTAL instead of once per corner, and
-  // each lane is scattered into that corner's parasitics slot —
-  // bit-identical to the extract_all each corner used to run (pinned by
-  // tests/batch_kernel_test.cpp).
+  // Extraction is hoisted out of the per-corner evaluations: each net is
+  // one batched materialize whose lanes all point at its geometry, one
+  // derated clone per lane, so every net's piece arrays are walked once
+  // TOTAL instead of once per corner, and each lane is scattered into that
+  // corner's parasitics slot — bit-identical to the extract_all each
+  // corner used to run (pinned by tests/batch_kernel_test.cpp).
   std::vector<std::vector<extract::NetParasitics>> corner_par(
       static_cast<std::size_t>(n_corners));
   for (auto& p : corner_par) p.resize(static_cast<std::size_t>(nets.size()));
@@ -97,15 +99,15 @@ MultiCornerReport evaluate_corners(
     const netlist::Net& net = nets.nets[static_cast<std::size_t>(i)];
     thread_local common::Arena arena;
     arena.reset();
-    extract::EvalLane* lanes =
-        arena.alloc<extract::EvalLane>(static_cast<std::size_t>(n_corners));
-    for (int c = 0; c < n_corners; ++c) {
-      lanes[c] = {&cornered[c], &cornered[c].rules[assignment[net.id]]};
-    }
     const extract::GeometryCache::Pinned pin = geometry->pinned(net.id);
     const extract::NetGeometry& geom = *pin;
+    extract::NetLane* lanes =
+        arena.alloc<extract::NetLane>(static_cast<std::size_t>(n_corners));
+    for (int c = 0; c < n_corners; ++c) {
+      lanes[c] = {&geom, &cornered[c], &cornered[c].rules[assignment[net.id]]};
+    }
     extract::BatchParasitics bp;
-    extract::materialize_batch(geom, lanes, n_corners, arena, bp);
+    extract::materialize_nets_batch(lanes, n_corners, arena, bp);
     for (int c = 0; c < n_corners; ++c) {
       extract::scatter_lane(geom, bp, c, corner_par[c][i]);
     }
@@ -115,7 +117,6 @@ MultiCornerReport evaluate_corners(
   // nothing mutable. Nested parallel loops inside the evaluation degrade
   // to serial on pool workers (see common/thread_pool.hpp), which is the
   // right shape here: corners are the coarsest independent unit of work.
-  MultiCornerReport rep;
   rep.corners.resize(corners.size());
   common::parallel_for(
       static_cast<std::int64_t>(corners.size()), /*grain=*/1,

@@ -10,7 +10,16 @@
 //  * worst step slew, process sigma, crosstalk delta — exact via per-net
 //    re-extraction (used to label model training data and to validate
 //    commits), or predicted by the learned models (used for fast scoring).
+//
+// Exact evaluation has one batched kernel family, evaluate_nets_exact_batch
+// over extract::NetLane lanes: a single net's rule sweep is a one-net batch,
+// and several same-shaped nets share one call. The scalar scratch overload
+// of evaluate_net_exact is the per-lane reference the batch replays bit for
+// bit; the fresh (tree, design) overload is the uncached reference the
+// tests compare against.
 #pragma once
+
+#include <type_traits>
 
 #include "common/arena.hpp"
 #include "extract/batch.hpp"
@@ -53,7 +62,6 @@ double net_em_bound(const NetSummary& s, const tech::Technology& tech,
 
 /// Exact net-local metrics under `rule`, from a fresh per-net extraction.
 struct NetExact {
-  extract::NetParasitics par;
   double cap_switched = 0.0;    ///< F.
   double step_slew_worst = 0.0; ///< s, worst load step slew (pre-PERI).
   double sigma_worst = 0.0;     ///< s.
@@ -62,7 +70,12 @@ struct NetExact {
   double wire_delay_mean = 0.0; ///< s, mean D2M wire delay over loads.
   double wire_delay_worst = 0.0;///< s.
 };
+// Memo rows, transplants and kernel outputs copy NetExact by value; keep it
+// plain scalars so those copies never allocate.
+static_assert(std::is_trivially_copyable_v<NetExact>);
 
+/// Uncached reference: builds the net's geometry, then runs the scratch
+/// overload below.
 NetExact evaluate_net_exact(const netlist::ClockTree& tree,
                             const netlist::Design& design,
                             const tech::Technology& tech,
@@ -84,55 +97,34 @@ struct NetEvalScratch {
 
 /// Exact evaluation from pre-built rule-independent geometry: materializes
 /// parasitics for `rule` and runs the fused moment / variation / EM kernels
-/// entirely in `scratch`. Scalar results are bit-identical to the fresh
-/// overload above (which delegates here); `par` is left empty — the
-/// materialized parasitics stay in `scratch.par` for callers that want them.
+/// entirely in `scratch`. Results are bit-identical to the fresh overload
+/// above (which delegates here); the materialized parasitics stay in
+/// `scratch.par` for callers that want them.
 NetExact evaluate_net_exact(const extract::NetGeometry& geom,
                             const tech::Technology& tech,
                             const tech::RoutingRule& rule, double driver_res,
                             double freq, NetEvalScratch& scratch);
 
-/// Batched exact evaluation: scores the shared geometry under `n_lanes`
-/// electrical contexts — (tech, rule) pairs with per-lane driver
-/// resistance — in one fused pass (materialize_batch + one EM sweep + one
-/// moment solve + three perturbed Elmore solves, lane loop innermost).
-/// out[l] is bit-identical to the scalar scratch overload called with
-/// lane l's context, `par` left empty. All scratch is carved from `arena`
-/// WITHOUT resetting it (so callers may keep lane arrays there); the
-/// caller resets the arena once per net.
-void evaluate_net_exact_batch(const extract::NetGeometry& geom,
-                              const extract::EvalLane* lanes, int n_lanes,
-                              const double* driver_res, double freq,
-                              common::Arena& arena, NetExact* out);
-
-/// Rule-sweep entry point: resets `arena`, then evaluates the net under
-/// EVERY rule of `tech` at the given driver resistance. `out` must hold
-/// tech.rules.size() entries; out[r] corresponds to tech.rules[r]. This is
-/// what AssignmentState uses to warm a whole memo row on first miss and
-/// what the bench compares against the scalar per-rule sweep.
-void evaluate_net_exact_all_rules(const extract::NetGeometry& geom,
-                                  const tech::Technology& tech,
-                                  double driver_res, double freq,
-                                  common::Arena& arena, NetExact* out);
-
-/// CROSS-NET batched exact evaluation: lanes are (net geometry, rule) pairs
+/// Batched exact evaluation: lanes are (net geometry, tech, rule) triples
 /// over SAME-SHAPED nets (see extract::bucket_nets_by_shape), with per-lane
-/// driver resistance. out[l] is bit-identical to the scalar scratch
-/// overload called with lane l's net and context — piece lengths differ per
-/// lane, so the uniform wire-length skips of the single-net batch become
-/// per-(node, lane) conditionals, which preserves each lane's scalar FP
-/// sequence exactly. Arena is NOT reset (mirrors evaluate_net_exact_batch).
+/// driver resistance, scored in one fused pass (materialize_nets_batch +
+/// one EM sweep + one moment solve + three perturbed Elmore solves, lane
+/// loop innermost). out[l] is bit-identical to the scalar scratch overload
+/// called with lane l's net and context: the scalar path's wire-length
+/// skips become per-(node, lane) conditionals, which preserves each lane's
+/// FP sequence exactly. All scratch is carved from `arena` WITHOUT
+/// resetting it (so callers may keep lane arrays there).
 void evaluate_nets_exact_batch(const extract::NetLane* lanes, int n_lanes,
                                const double* driver_res, double freq,
                                common::Arena& arena, NetExact* out);
 
-/// Multi-net rule-sweep entry point: resets `arena`, then evaluates each of
-/// the `n_nets` same-shaped geometries under EVERY rule of `tech` in one
-/// cross-net batch (lanes net-outer × rule-inner). out[i * R + r] is
-/// geoms[i] under tech.rules[r], bit-identical to
-/// evaluate_net_exact_all_rules(*geoms[i], ...). This is how warm-row
-/// prefetches, greedy sweeps, and predictor labeling fill the SIMD lanes
-/// that a single net's rule sweep leaves mostly empty.
+/// Rule-sweep entry point: resets `arena`, then evaluates each of the
+/// `n_nets` same-shaped geometries under EVERY rule of `tech` in one batch
+/// (lanes net-outer × rule-inner). out[i * R + r] is geoms[i] under
+/// tech.rules[r], bit-identical to the scalar scratch overload. A single
+/// net's sweep is n_nets == 1 (the memo's miss path); memo warm-up and
+/// predictor labelling batch several same-shaped nets to fill the SIMD
+/// lanes that one net's rules leave mostly empty.
 void evaluate_nets_exact_all_rules(const extract::NetGeometry* const* geoms,
                                    const double* driver_res, int n_nets,
                                    const tech::Technology& tech, double freq,

@@ -346,9 +346,8 @@ SmartNdrResult Optimizer::run() {
       const auto t0 = Clock::now();
       predictor_ = std::make_shared<const RuleImpactPredictor>(
           RuleImpactPredictor::train(tree_, design_, tech_, nets_,
-                                     opt_.analysis, opt_.training_samples,
-                                     /*holdout_frac=*/0.2,
-                                     &state_.geometry_cache()));
+                                     state_.geometry_cache(), opt_.analysis,
+                                     opt_.training_samples));
       stats_.train_seconds = seconds_since(t0);
     }
     predictor_ready_ = true;

@@ -8,8 +8,9 @@ namespace sndr::power {
 double net_peak_current_density(const extract::NetParasitics& par,
                                 const tech::Technology& tech,
                                 const tech::RoutingRule& rule, double freq) {
-  const std::vector<double> down =
-      par.rc.downstream_cap(tech.miller_power);
+  std::vector<double> down(static_cast<std::size_t>(par.rc.size()));
+  extract::rc_downstream(par.rc.data(), par.rc.size(), tech.miller_power,
+                         down.data());
   return net_peak_current_density(par, down.data(), tech, rule, freq);
 }
 

@@ -15,7 +15,7 @@ namespace sndr::timing {
 // impulse response); m2 here is the *circuit* second moment
 //   m2 = sum_k R_shared(i,k) * C_k * m1_k
 // (the s^2 coefficient magnitude of the transfer function), which is what
-// RcTree::second_moment computes. The second *time* moment of the impulse
+// RcTree::moments computes as m2. The second *time* moment of the impulse
 // response is 2*m2; for a single pole with time constant tau: m1 = tau,
 // m2 = tau^2.
 

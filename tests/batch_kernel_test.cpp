@@ -1,12 +1,15 @@
-// Bit-identity contract of the batched rule-sweep kernels (extract/batch.hpp,
+// Bit-identity contract of the batched lane kernels (extract/batch.hpp,
 // ndr/net_eval.hpp): every lane of the batched materialize / moments / exact
 // evaluation must equal the scalar reference path bit for bit — across every
-// rule, every process corner, at 1 and 8 threads — with all scratch carved
-// from a common::Arena that is reused (reset, not reallocated) across nets.
-// This is what lets the optimizer's memo warm whole rule rows and the corner
-// signoff share one extraction batch without any tolerance-based checking.
+// rule, every process corner, mixed nets and corners in one call, at 1 and 8
+// threads — with all scratch carved from a common::Arena that is reused
+// (reset, not reallocated) across nets. This is what lets the optimizer's
+// memo warm whole rule rows and the corner signoff share one extraction
+// batch without any tolerance-based checking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -49,8 +52,7 @@ void expect_parasitics_identical(const extract::NetParasitics& a,
   EXPECT_EQ(a.load_cap, b.load_cap);
 }
 
-/// Bitwise comparison of the scalar NetExact metrics (par is not filled by
-/// the batched path and is excluded by contract).
+/// Bitwise comparison of every NetExact metric.
 void expect_exact_identical(const ndr::NetExact& a, const ndr::NetExact& b) {
   EXPECT_EQ(a.cap_switched, b.cap_switched);
   EXPECT_EQ(a.step_slew_worst, b.step_slew_worst);
@@ -59,6 +61,15 @@ void expect_exact_identical(const ndr::NetExact& a, const ndr::NetExact& b) {
   EXPECT_EQ(a.em_peak, b.em_peak);
   EXPECT_EQ(a.wire_delay_mean, b.wire_delay_mean);
   EXPECT_EQ(a.wire_delay_worst, b.wire_delay_worst);
+}
+
+/// One net's rule sweep: a one-net batch over every rule of `tech`.
+void exact_all_rules(const extract::NetGeometry& geom,
+                     const tech::Technology& tech, double driver_res,
+                     double freq, common::Arena& arena, ndr::NetExact* out) {
+  const extract::NetGeometry* g = &geom;
+  ndr::evaluate_nets_exact_all_rules(&g, &driver_res, 1, tech, freq, arena,
+                                     out);
 }
 
 class BatchKernelFixture : public ::testing::Test {
@@ -77,9 +88,12 @@ TEST_F(BatchKernelFixture, MaterializeLanesBitIdenticalToScalarPerRule) {
   for (const netlist::Net& net : f.nets.nets) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
     arena.reset();
+    const int L = f.tech.rules.size();
+    std::vector<extract::NetLane> lanes(static_cast<std::size_t>(L));
+    for (int l = 0; l < L; ++l) lanes[l] = {&geom, &f.tech, &f.tech.rules[l]};
     extract::BatchParasitics bp;
-    extract::materialize_batch(geom, f.tech, f.tech.rules, arena, bp);
-    ASSERT_EQ(bp.lanes, f.tech.rules.size());
+    extract::materialize_nets_batch(lanes.data(), L, arena, bp);
+    ASSERT_EQ(bp.lanes, L);
     for (int r = 0; r < f.tech.rules.size(); ++r) {
       extract::materialize(geom, f.tech, f.tech.rules[r], scalar);
       extract::scatter_lane(geom, bp, r, scattered);
@@ -97,24 +111,32 @@ TEST_F(BatchKernelFixture, MomentsLanesBitIdenticalToScalarFusedKernel) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
     const int L = f.tech.rules.size();
     arena.reset();
-    extract::EvalLane* lanes =
-        arena.alloc<extract::EvalLane>(static_cast<std::size_t>(L));
+    extract::NetLane* lanes =
+        arena.alloc<extract::NetLane>(static_cast<std::size_t>(L));
     double* dres = arena.alloc<double>(static_cast<std::size_t>(L));
     double* miller = arena.alloc<double>(static_cast<std::size_t>(L));
     for (int l = 0; l < L; ++l) {
-      lanes[l] = {&f.tech, &f.tech.rules[l]};
+      lanes[l] = {&geom, &f.tech, &f.tech.rules[l]};
       dres[l] = driver_res;
       miller[l] = 1.0;
     }
     extract::BatchParasitics bp;
-    extract::BatchMoments bm;
-    extract::moments_batch(geom, lanes, L, dres, miller, arena, bp, bm);
+    extract::materialize_nets_batch(lanes, L, arena, bp);
+    const std::int64_t plane = static_cast<std::int64_t>(bp.nodes) * L;
+    double* down = arena.alloc<double>(plane);
+    double* subtree = arena.alloc<double>(plane);
+    double* m1 = arena.alloc<double>(plane);
+    double* m2 = arena.alloc<double>(plane);
+    extract::rc_moments_batch(bp.nodes, L, bp.parent, bp.res, bp.cap_gnd,
+                              bp.cap_cpl, dres, miller, down, subtree, m1,
+                              m2);
     for (int r = 0; r < L; ++r) {
       extract::materialize(geom, f.tech, f.tech.rules[r], scalar);
       scalar.rc.moments(driver_res, 1.0, scalar_moments);
-      for (int i = 0; i < bm.nodes; ++i) {
-        EXPECT_EQ(bm.m1[bm.at(i, r)], scalar_moments.m1[i]);
-        EXPECT_EQ(bm.m2[bm.at(i, r)], scalar_moments.m2[i]);
+      for (int i = 0; i < bp.nodes; ++i) {
+        EXPECT_EQ(down[bp.at(i, r)], scalar_moments.down[i]);
+        EXPECT_EQ(m1[bp.at(i, r)], scalar_moments.m1[i]);
+        EXPECT_EQ(m2[bp.at(i, r)], scalar_moments.m2[i]);
       }
     }
   }
@@ -129,8 +151,7 @@ TEST_F(BatchKernelFixture, ExactAllRulesBitIdenticalToScalarSweep) {
   const double freq = f.design.constraints.clock_freq;
   for (const netlist::Net& net : f.nets.nets) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
-    ndr::evaluate_net_exact_all_rules(geom, f.tech, driver_res, freq, arena,
-                                      row.data());
+    exact_all_rules(geom, f.tech, driver_res, freq, arena, row.data());
     for (int r = 0; r < f.tech.rules.size(); ++r) {
       const ndr::NetExact scalar = ndr::evaluate_net_exact(
           geom, f.tech, f.tech.rules[r], driver_res, freq, scratch);
@@ -151,18 +172,15 @@ TEST_F(BatchKernelFixture, ArenaReuseLeavesEarlierResultsReproducible) {
   std::vector<ndr::NetExact> first(static_cast<std::size_t>(n_rules));
   std::vector<ndr::NetExact> again(static_cast<std::size_t>(n_rules));
   const extract::NetGeometry& geom0 = cache.geometry(f.nets[0].id);
-  ndr::evaluate_net_exact_all_rules(geom0, f.tech, driver_res, freq, arena,
-                                    first.data());
+  exact_all_rules(geom0, f.tech, driver_res, freq, arena, first.data());
   const std::size_t grown = arena.capacity();
   std::vector<ndr::NetExact> scratch_row(static_cast<std::size_t>(n_rules));
   for (const netlist::Net& net : f.nets.nets) {
-    ndr::evaluate_net_exact_all_rules(cache.geometry(net.id), f.tech,
-                                      driver_res, freq, arena,
-                                      scratch_row.data());
+    exact_all_rules(cache.geometry(net.id), f.tech, driver_res, freq, arena,
+                    scratch_row.data());
   }
   EXPECT_GE(arena.capacity(), grown);
-  ndr::evaluate_net_exact_all_rules(geom0, f.tech, driver_res, freq, arena,
-                                    again.data());
+  exact_all_rules(geom0, f.tech, driver_res, freq, arena, again.data());
   for (int r = 0; r < n_rules; ++r) {
     expect_exact_identical(again[static_cast<std::size_t>(r)],
                            first[static_cast<std::size_t>(r)]);
@@ -187,19 +205,76 @@ TEST_F(BatchKernelFixture, CornerLanesBitIdenticalToPerCornerExtraction) {
     const extract::NetGeometry& geom = cache.geometry(net.id);
     arena.reset();
     const int C = static_cast<int>(corners.size());
-    extract::EvalLane* lanes =
-        arena.alloc<extract::EvalLane>(static_cast<std::size_t>(C));
+    extract::NetLane* lanes =
+        arena.alloc<extract::NetLane>(static_cast<std::size_t>(C));
     for (int c = 0; c < C; ++c) {
-      lanes[c] = {&cornered[c], &cornered[c].rules[assignment[net.id]]};
+      lanes[c] = {&geom, &cornered[c], &cornered[c].rules[assignment[net.id]]};
     }
     extract::BatchParasitics bp;
-    extract::materialize_batch(geom, lanes, C, arena, bp);
+    extract::materialize_nets_batch(lanes, C, arena, bp);
     for (int c = 0; c < C; ++c) {
       extract::materialize(geom, cornered[c],
                            cornered[c].rules[assignment[net.id]], scalar);
       extract::scatter_lane(geom, bp, c, scattered);
       expect_parasitics_identical(scattered, scalar);
     }
+  }
+}
+
+TEST_F(BatchKernelFixture, MixedNetsAndCornersInOneBatchMatchScalar) {
+  // One materialize_nets_batch and one evaluate_nets_exact_batch call whose
+  // lanes mix DIFFERENT same-shaped nets with derated corner technologies
+  // (and different rules): every lane must equal the scalar materialize and
+  // the scalar evaluate_net_exact of its own (net, corner, rule).
+  const test::Flow big = test::small_flow(256, 11);
+  const extract::GeometryCache big_cache(big.cts.tree, big.design, big.nets);
+  const extract::NetShapeBuckets buckets =
+      extract::bucket_nets_by_shape(big_cache);
+  const std::vector<int>& group = *std::max_element(
+      buckets.groups.begin(), buckets.groups.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  const int n_nets = std::min<int>(static_cast<int>(group.size()), 4);
+  ASSERT_GE(n_nets, 2) << "flow too small to mix nets in one batch";
+
+  const auto corners = tech::standard_corners();
+  std::vector<tech::Technology> cornered;
+  for (const tech::Corner& c : corners) {
+    cornered.push_back(tech::apply_corner(big.tech, c));
+  }
+  const int C = static_cast<int>(cornered.size());
+  const int R = big.tech.rules.size();
+  const int L = n_nets * C;
+  std::vector<extract::NetLane> lanes(static_cast<std::size_t>(L));
+  std::vector<double> dres(static_cast<std::size_t>(L));
+  for (int i = 0; i < n_nets; ++i) {
+    for (int c = 0; c < C; ++c) {
+      const int l = i * C + c;
+      lanes[l] = {&big_cache.geometry(group[i]), &cornered[c],
+                  &cornered[c].rules[(i + c) % R]};
+      dres[l] = 100.0 + 10.0 * l;
+    }
+  }
+
+  const double freq = big.design.constraints.clock_freq;
+  common::Arena arena;
+  extract::BatchParasitics bp;
+  extract::materialize_nets_batch(lanes.data(), L, arena, bp);
+  std::vector<ndr::NetExact> got(static_cast<std::size_t>(L));
+  ndr::evaluate_nets_exact_batch(lanes.data(), L, dres.data(), freq, arena,
+                                 got.data());
+
+  extract::NetParasitics scalar;
+  extract::NetParasitics scattered;
+  ndr::NetEvalScratch scratch;
+  for (int l = 0; l < L; ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    const extract::NetLane& lane = lanes[l];
+    extract::materialize(*lane.geom, *lane.tech, *lane.rule, scalar);
+    extract::scatter_lane(*lane.geom, bp, l, scattered);
+    expect_parasitics_identical(scattered, scalar);
+    expect_exact_identical(
+        got[l], ndr::evaluate_net_exact(*lane.geom, *lane.tech, *lane.rule,
+                                        dres[l], freq, scratch));
   }
 }
 
@@ -225,6 +300,15 @@ TEST_F(BatchKernelFixture, CornerSignoffBitIdenticalAtOneAndEightThreads) {
     EXPECT_EQ(a.power.total_power, b.power.total_power);
     EXPECT_EQ(a.em.worst_density, b.em.worst_density);
   }
+}
+
+TEST_F(BatchKernelFixture, CornerSignoffWithNoCornersIsEmpty) {
+  // A corner batch needs at least one lane; no corners means no batch.
+  const auto assignment =
+      ndr::assign_all(f.nets, f.tech.rules.blanket_index());
+  const ndr::MultiCornerReport rep = ndr::evaluate_corners(
+      f.cts.tree, f.design, f.tech, f.nets, assignment, {});
+  EXPECT_TRUE(rep.corners.empty());
 }
 
 TEST_F(BatchKernelFixture, MemoRowWarmFillMatchesScalarAtBothThreadCounts) {

@@ -210,6 +210,24 @@ TEST(CheckpointFile, HexfloatTrailingJunkIsAParseError) {
   check("ck_int_extra.txt", "iteration 5 5");
 }
 
+TEST(CheckpointFile, NonFiniteHexfloatIsAParseError) {
+  // strtod accepts nan/inf; a resumed anneal must never start from one.
+  for (const std::string line :
+       {"temperature nan", "temperature inf", "cooling -inf",
+        "start_cap nan", "best_cap inf"}) {
+    const std::string path = temp_path("ck_nonfinite.txt");
+    std::ofstream(path) << "sndr.anneal_checkpoint/2\n"
+                           "fingerprint 99\n" +
+                               line + "\n";
+    const common::Result<ndr::AnnealCheckpoint> r = load_checkpoint(path, 99);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << line;
+    EXPECT_NE(r.status().message().find(":3:"), std::string::npos)
+        << r.status().to_string();
+    std::remove(path.c_str());
+  }
+}
+
 TEST(CheckpointFile, FingerprintMismatchStaysInvalidArgument) {
   // A well-formed checkpoint for OTHER inputs is not a parse error: the
   // caller can act on the distinction (re-anneal vs report corruption).

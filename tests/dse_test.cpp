@@ -375,6 +375,52 @@ TEST(DseSweep, PartialTrailingCheckpointBlockIsDroppedAndCompacted) {
   expect_points_bitwise(whole.value(), again.value());
 }
 
+TEST(DseSweep, NonFiniteArrivalRejectsTheCheckpointBlock) {
+  const std::string dir = temp_dir("sndr_dse_nonfinite");
+  const flow::FlowConfig base = sweep_base(dir);
+  const auto whole = dse::explore(base);
+  ASSERT_TRUE(whole.ok()) << whole.status().to_string();
+  ASSERT_EQ(whole->points.size(), 4u);
+
+  // Corrupt the 2nd point's arrival line: its middle value becomes `inf`.
+  // That block (and everything after it) must not be resumed — the sweep
+  // re-solves from point 1 and still matches the uninterrupted run.
+  const std::string ck_path = base.output_path(base.dse_out) + "/sweep.ck";
+  std::vector<std::string> lines;
+  {
+    std::ifstream f(ck_path);
+    std::string l;
+    while (std::getline(f, l)) lines.push_back(l);
+  }
+  int points_seen = 0;
+  bool corrupted = false;
+  for (std::string& l : lines) {
+    if (l.rfind("point ", 0) == 0) ++points_seen;
+    if (points_seen == 2 && l.rfind("arrival ", 0) == 0) {
+      std::istringstream is(l);
+      std::vector<std::string> toks;
+      std::string t;
+      while (is >> t) toks.push_back(t);
+      ASSERT_GE(toks.size(), 3u);
+      toks[toks.size() / 2] = "inf";
+      l.clear();
+      for (const std::string& tok : toks) l += (l.empty() ? "" : " ") + tok;
+      corrupted = true;
+    }
+  }
+  ASSERT_TRUE(corrupted);
+  {
+    std::ofstream f(ck_path, std::ios::trunc);
+    for (const std::string& l : lines) f << l << "\n";
+  }
+
+  const auto resumed = dse::explore(base);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+  EXPECT_EQ(resumed->resumed_points, 1);
+  EXPECT_EQ(resumed->solved_points, 3);
+  expect_points_bitwise(whole.value(), resumed.value());
+}
+
 TEST(DseSweep, CheckpointForDifferentSweepIsRejected) {
   const std::string dir = temp_dir("sndr_dse_mismatch");
   flow::FlowConfig base = sweep_base(dir);

@@ -125,15 +125,19 @@ TEST_F(ExtractCacheFixture, FusedMomentsMatchLegacyEntryPoints) {
         extractor.extract_net(f.cts.tree, net, f.tech.rules[0]);
     for (const double miller : {1.0, 2.0}) {
       par.rc.moments(driver_res, miller, scratch);
-      const std::vector<double> down = par.rc.downstream_cap(miller);
-      const std::vector<double> m1 = par.rc.elmore_delay(driver_res, miller);
-      const std::vector<double> m2 =
-          par.rc.second_moment(driver_res, miller);
-      ASSERT_EQ(static_cast<int>(scratch.m2.size()), par.rc.size());
-      for (int i = 0; i < par.rc.size(); ++i) {
+      // down and m1 are bitwise the separate array kernels' (rc_tree.hpp).
+      const int n = par.rc.size();
+      std::vector<double> down(n);
+      std::vector<double> m1_down(n);
+      std::vector<double> m1(n);
+      extract::rc_downstream(par.rc.data(), n, miller, down.data());
+      extract::rc_elmore(par.rc.data(), n, driver_res, miller,
+                         m1_down.data(), m1.data());
+      ASSERT_EQ(static_cast<int>(scratch.m2.size()), n);
+      for (int i = 0; i < n; ++i) {
         EXPECT_EQ(scratch.down[i], down[i]);
+        EXPECT_EQ(m1_down[i], down[i]);
         EXPECT_EQ(scratch.m1[i], m1[i]);
-        EXPECT_EQ(scratch.m2[i], m2[i]);
       }
 
       // Independent reference: the historical three-pass m2 algorithm

@@ -13,6 +13,12 @@ namespace {
 using units::fF;
 using units::ps;
 
+RcMoments moments_of(const RcTree& rc, double driver_res, double miller) {
+  RcMoments m;
+  rc.moments(driver_res, miller, m);
+  return m;
+}
+
 TEST(RcTree, StartsWithDriverNode) {
   const RcTree rc;
   EXPECT_EQ(rc.size(), 1);
@@ -34,13 +40,13 @@ TEST(RcTree, TotalsAndDownstream) {
   const int c = rc.add_node(a, 100, 4 * fF, 2 * fF);
   EXPECT_DOUBLE_EQ(rc.total_cap_gnd(), 10 * fF);
   EXPECT_DOUBLE_EQ(rc.total_cap_cpl(), 3 * fF);
-  const auto down = rc.downstream_cap(1.0);
+  const auto down = moments_of(rc, 0.0, 1.0).down;
   EXPECT_DOUBLE_EQ(down[0], 13 * fF);
   EXPECT_DOUBLE_EQ(down[a], 12 * fF);
   EXPECT_DOUBLE_EQ(down[b], 3 * fF);
   EXPECT_DOUBLE_EQ(down[c], 6 * fF);
   // Miller factor weights only coupling caps.
-  const auto down2 = rc.downstream_cap(2.0);
+  const auto down2 = moments_of(rc, 0.0, 2.0).down;
   EXPECT_DOUBLE_EQ(down2[0], 16 * fF);
 }
 
@@ -49,7 +55,7 @@ TEST(RcTree, ElmoreHandComputed) {
   RcTree rc;
   const int a = rc.add_node(0, 50, 10 * fF, 0);
   const int b = rc.add_node(a, 50, 20 * fF, 0);
-  const auto d = rc.elmore_delay(100.0, 1.0);
+  const auto d = moments_of(rc, 100.0, 1.0).m1;
   EXPECT_DOUBLE_EQ(d[0], 100 * 30 * fF);
   EXPECT_DOUBLE_EQ(d[a], 100 * 30 * fF + 50 * 30 * fF);
   EXPECT_DOUBLE_EQ(d[b], 100 * 30 * fF + 50 * 30 * fF + 50 * 20 * fF);
@@ -62,7 +68,7 @@ TEST(RcTree, ElmoreBranchesSeeOnlyTheirSubtreeResistance) {
   const int a = rc.add_node(0, 100, 0, 0);         // shared trunk.
   const int l = rc.add_node(a, 200, 10 * fF, 0);   // left leaf.
   const int r = rc.add_node(a, 300, 20 * fF, 0);   // right leaf.
-  const auto d = rc.elmore_delay(0.0, 1.0);
+  const auto d = moments_of(rc, 0.0, 1.0).m1;
   EXPECT_DOUBLE_EQ(d[l], 100 * 30 * fF + 200 * 10 * fF);
   EXPECT_DOUBLE_EQ(d[r], 100 * 30 * fF + 300 * 20 * fF);
 }
@@ -72,8 +78,8 @@ TEST(RcTree, SecondMomentSinglePole) {
   RcTree rc;
   const int a = rc.add_node(0, 0.0, 100 * fF, 0);
   const double tau = 500.0 * 100 * fF;
-  EXPECT_DOUBLE_EQ(rc.elmore_delay(500.0, 1.0)[a], tau);
-  EXPECT_NEAR(rc.second_moment(500.0, 1.0)[a], tau * tau, 1e-30);
+  EXPECT_DOUBLE_EQ(moments_of(rc, 500.0, 1.0).m1[a], tau);
+  EXPECT_NEAR(moments_of(rc, 500.0, 1.0).m2[a], tau * tau, 1e-30);
 }
 
 class ExtractFixture : public ::testing::Test {
@@ -149,8 +155,8 @@ TEST_F(ExtractFixture, FinerSegmentationConvergesElmore) {
                                      flow_.tech.rules.blanket_rule());
   const auto pf = fine.extract_net(flow_.cts.tree, net,
                                    flow_.tech.rules.blanket_rule());
-  const auto dc = pc.rc.elmore_delay(300.0, 1.0);
-  const auto df = pf.rc.elmore_delay(300.0, 1.0);
+  const auto dc = moments_of(pc.rc, 300.0, 1.0).m1;
+  const auto df = moments_of(pf.rc, 300.0, 1.0).m1;
   for (std::size_t i = 0; i < net.loads.size(); ++i) {
     const double c = dc[pc.load_rc_index[i]];
     const double f = df[pf.load_rc_index[i]];

@@ -121,6 +121,68 @@ TEST_F(IoFixture, SpefParseErrors) {
   EXPECT_THROW(read_spef(bad_res), std::runtime_error);
 }
 
+/// `text` must fail to load as a ParseError naming spef.spef:`line`.
+void expect_spef_parse_error(const std::string& text, int line) {
+  std::istringstream is(text);
+  try {
+    read_spef(is, "spef.spef");
+    ADD_FAILURE() << "expected ParseError for:\n" << text;
+  } catch (const common::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("spef.spef:" + std::to_string(line) +
+                                         ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SpefBounds, NonFiniteOrNegativeNetTotalIsAParseError) {
+  for (const char* v : {"nan", "inf", "-inf", "-1.0"}) {
+    SCOPED_TRACE(v);
+    expect_spef_parse_error("*C_UNIT 1 PF\n*D_NET n1 " + std::string(v) +
+                                "\n*END\n",
+                            2);
+  }
+}
+
+TEST(SpefBounds, NonFiniteOrNegativeCapIsAParseError) {
+  for (const char* v : {"nan", "inf", "-0.5"}) {
+    SCOPED_TRACE(v);
+    expect_spef_parse_error(
+        "*D_NET n1 1.0\n*CAP\n1 n1:1 " + std::string(v) + "\n*END\n", 3);
+  }
+}
+
+TEST(SpefBounds, NonFiniteOrNegativeResIsAParseError) {
+  for (const char* v : {"nan", "inf", "-2"}) {
+    SCOPED_TRACE(v);
+    expect_spef_parse_error(
+        "*D_NET n1 1.0\n*RES\n1 n1:0 n1:1 " + std::string(v) + "\n*END\n",
+        3);
+  }
+}
+
+TEST(SpefBounds, NonPositiveOrNonFiniteUnitMultiplierIsAParseError) {
+  for (const char* v : {"nan", "inf", "0", "-1"}) {
+    SCOPED_TRACE(v);
+    expect_spef_parse_error("*DESIGN \"d\"\n*R_UNIT " + std::string(v) +
+                                " OHM\n",
+                            2);
+  }
+}
+
+TEST(Hexfloat, RoundTripsAndRejectsNonFiniteTokens) {
+  for (const double v : {0.1 * 3.0e-15, -4.5e-12, 0.0, 1e300}) {
+    double back = 1.0;
+    ASSERT_TRUE(parse_hexfloat(hexfloat(v), back)) << hexfloat(v);
+    EXPECT_EQ(back, v);
+  }
+  double out = 0.0;
+  for (const char* tok : {"nan", "NAN", "inf", "-inf", "infinity", "0x1p+2000",
+                          "", "0x1.8p+1junk"}) {
+    EXPECT_FALSE(parse_hexfloat(tok, out)) << tok;
+  }
+}
+
 TEST_F(IoFixture, SpefSizeMismatchThrows) {
   parasitics_.pop_back();
   std::ostringstream os;

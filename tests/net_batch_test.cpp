@@ -70,8 +70,7 @@ TEST(NetBatch, CrossNetAllRulesBitwiseMatchesScalar) {
   const int R = f.tech.rules.size();
 
   common::Arena arena;
-  common::Arena scalar_arena;
-  std::vector<NetExact> want(static_cast<std::size_t>(R));
+  NetEvalScratch scratch;
   for (const std::vector<int>& group : buckets.groups) {
     const int n = std::min<int>(static_cast<int>(group.size()), 8);
     std::vector<const extract::NetGeometry*> geoms(n);
@@ -86,11 +85,11 @@ TEST(NetBatch, CrossNetAllRulesBitwiseMatchesScalar) {
                                   arena, got.data());
     for (int i = 0; i < n; ++i) {
       SCOPED_TRACE("net " + std::to_string(group[i]));
-      evaluate_net_exact_all_rules(*geoms[i], f.tech, dres[i], freq,
-                                   scalar_arena, want.data());
       for (int r = 0; r < R; ++r) {
         SCOPED_TRACE("rule " + std::to_string(r));
-        expect_exact_eq(got[static_cast<std::size_t>(i * R + r)], want[r]);
+        expect_exact_eq(got[static_cast<std::size_t>(i * R + r)],
+                        evaluate_net_exact(*geoms[i], f.tech, f.tech.rules[r],
+                                           dres[i], freq, scratch));
       }
     }
   }

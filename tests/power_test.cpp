@@ -107,7 +107,9 @@ TEST_F(PowerFixture, WiderRuleLowersDensity) {
 TEST_F(PowerFixture, EmWorstIsNearDriver) {
   // The peak density piece carries (nearly) the whole net cap.
   const auto& par = parasitics_[0];
-  const auto down = par.rc.downstream_cap(flow_.tech.miller_power);
+  extract::RcMoments moments;
+  par.rc.moments(/*driver_res=*/0.0, flow_.tech.miller_power, moments);
+  const std::vector<double>& down = moments.down;
   const double j = net_peak_current_density(
       flow_.tech.em_crest_factor <= 0 ? parasitics_[0] : par, flow_.tech,
       flow_.tech.rules.blanket_rule(), 1 * GHz);
