@@ -20,6 +20,7 @@ int main() {
                    "saving", "train (s)"});
   for (const int samples : {25, 50, 100, 200, 400, 800}) {
     ndr::OptimizerOptions opt;
+    opt.scoring = ndr::Scoring::kModels;  // the learned-model ablation.
     opt.training_samples = samples;
     const ndr::SmartNdrResult smart =
         ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);

@@ -59,8 +59,7 @@ int main() {
                    "pairs", "worst skew (ps)", "split", "nets/s"});
   bool gates_ok = true;
 
-  ndr::OptimizerOptions exact;
-  exact.use_models = false;
+  const ndr::OptimizerOptions exact;  // exact scoring, the default.
 
   // --- g96: does the activity-weighted objective move the assignment? ---
   {

@@ -2,8 +2,8 @@
 //
 //   1. Speedup: one dse::explore() sweep over an N-point grid must beat N
 //      independent cold runs of the same configs by >= 3x (the reuse
-//      stack: technology parsed once, predictor trained once, one shared
-//      geometry cache, memo transplant, warm starts).
+//      stack: technology parsed once, one shared geometry cache, donated
+//      front-end prep, memo transplant, warm starts).
 //   2. Identity: every sweep point — and therefore every frontier point —
 //      must be bitwise identical to its own emitted config run standalone
 //      through serve::execute_job (the `sndr run` path, no cache, cold
@@ -54,8 +54,9 @@ bool identical(const dse::PointResult& p, const serve::JobOutcome& solo) {
 int main() {
   using namespace sndr::bench;
 
-  // One mid-size design; the sweep cost is dominated by per-point
-  // predictor training + search, which is exactly what reuse amortizes.
+  // One mid-size design; a cold run's cost is the front end (load, CTS,
+  // route, extraction) plus the exact-scored search, which is exactly
+  // what the sweep's reuse amortizes.
   workload::DesignSpec spec;
   spec.name = "dse_bench";
   spec.num_sinks = 6000;
@@ -67,7 +68,6 @@ int main() {
   base.design_path = design_path;
   base.results_dir = results_path("dse_bench_out");
   base.seed = 5;
-  base.training_samples = 100000;  // capped at n_nets; trained once vs N times.
   base.anneal_iterations = 0;  // greedy-only: the reuse channels cover it all.
   base.dse = true;
   base.dse_power_weight = {0.5, 0.75, 1.0, 1.5, 2.0};

@@ -569,8 +569,8 @@ void record_move_throughput(std::vector<bench::RuntimeRecord>& records) {
   }
   const double full_cap = state.total_cap();
 
-  // Delta leg: same stream through apply_move. Rows are prewarmed, as in
-  // the annealer, so the timed loop is the steady-state move cost. One
+  // Delta leg: same stream through apply_move. Rows are warmed up front,
+  // as in the annealer, so the timed loop is the steady-state move cost. One
   // stream pass is sub-millisecond — far below timer noise — so each timed
   // rep replays the stream kDeltaPasses times (re-applying an already-held
   // rule costs exactly the same mechanics) and normalizes, keeping the

@@ -6,9 +6,8 @@
 // medium / large single-clock trees plus one multi-domain tree), written
 // to disk so each job exercises the full file-loading flow. Jobs cycle
 // through the designs with a per-job seed; the server runs them with
-// several workers over the shared cache (technology parsed once,
-// predictors trained once per distinct design/samples pair), so the soak
-// covers concurrent submits, cache sharing, and admission accounting.
+// several workers over the shared cache (technology parsed once), so the
+// soak covers concurrent submits, cache sharing, and admission accounting.
 //
 // The manifest (BENCH_manifest.serve.json) gets the gauges
 // scripts/bench_check.sh gates:
@@ -95,8 +94,7 @@ int main() {
     designs.push_back(path);
   }
 
-  // One config per job: cycle the designs, vary the seed, keep training
-  // small (the shared cache makes per-design training a one-time cost).
+  // One config per job: cycle the designs, vary the seed.
   const int jobs = job_count();
   std::vector<flow::FlowConfig> configs;
   configs.reserve(jobs);
@@ -104,7 +102,6 @@ int main() {
     flow::FlowConfig c;
     c.design_path = designs[i % designs.size()];
     c.seed = 1000 + i;
-    c.training_samples = 60;
     c.memory_budget_bytes = 32u << 20;  // declared for admission control.
     if (i % 7 == 0) c.anneal_iterations = 100;  // a slow-job sprinkle.
     configs.push_back(std::move(c));
@@ -178,8 +175,6 @@ int main() {
   t.add_row({"p99 latency (s)", report::fmt(p99, 4)});
   t.add_row({"tech cache hits",
              std::to_string(server.cache().stats().tech_hits)});
-  t.add_row({"predictor cache hits",
-             std::to_string(server.cache().stats().predictor_hits)});
   t.add_row({"completed",
              std::to_string(snap.counter("serve.jobs_completed"))});
   t.add_row({"identical to serial", mismatches == 0 ? "yes" : "NO"});

@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
                                1.0)
             << ", commits " << smart.stats.commits << ", passes "
             << smart.stats.passes << ", exact evals "
-            << smart.stats.exact_net_evals << ", train "
-            << report::fmt(smart.stats.train_seconds, 2) << "s, optimize "
+            << smart.stats.exact_net_evals << ", optimize "
             << report::fmt(smart.stats.optimize_seconds, 2) << "s\n";
   std::cout << "rule mix:";
   for (int r = 0; r < tech.rules.size(); ++r) {

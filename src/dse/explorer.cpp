@@ -495,8 +495,7 @@ common::Result<SweepResult> explore(const flow::FlowConfig& base,
                                           // GeometryCache (pure function of
                                           // its tree — bitwise identical to
                                           // every point's own).
-  flow::World harvested;
-  const flow::World* world = options.world;
+  std::shared_ptr<const tech::Technology> tech = options.tech;
   /// The anchor's design as loaded, BEFORE its own max_skew override
   /// mutated the constraints — what later points' load stages copy.
   netlist::Design pristine_design;
@@ -588,7 +587,7 @@ common::Result<SweepResult> explore(const flow::FlowConfig& base,
 
     auto session = std::make_unique<flow::Session>(p.config);
     session->cancel_token() = options.cancel;
-    if (world != nullptr) session->set_world(*world);
+    if (tech != nullptr) session->set_technology(tech);
     flow::ReuseHooks hooks;
     if (anchor != nullptr) {
       // Everything the axes cannot touch rides over from the anchor:
@@ -634,16 +633,8 @@ common::Result<SweepResult> explore(const flow::FlowConfig& base,
 
     if (anchor == nullptr) {
       n_rules = static_cast<int>(session->technology().rules.size());
-      sweep.trained_predictor =
-          res.smart ? res.smart->trained_predictor : nullptr;
-      // Later points share one World: tech parsed once, predictor trained
-      // once (training is axis-independent — value-neutral reuse).
-      if (sweep.trained_predictor != nullptr &&
-          (world == nullptr || world->predictor == nullptr)) {
-        harvested = world != nullptr ? *world : session->world();
-        harvested.predictor = sweep.trained_predictor;
-        world = &harvested;
-      }
+      // Later points share the anchor's technology: parsed once.
+      tech = session->shared_technology();
       anchor = std::move(session);
     }
 

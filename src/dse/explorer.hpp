@@ -7,9 +7,8 @@
 // far less than N independent cold runs because everything reusable is
 // reused across points:
 //
-//   * World sharing — the technology is parsed once and the rule-impact
-//     predictor is trained once (training does not depend on the swept
-//     axes), exactly the serve::SharedCache contract.
+//   * Technology sharing — the technology is parsed once, exactly the
+//     serve::SharedCache contract.
 //   * Geometry sharing — the axes never touch the tree, so one budgeted
 //     GeometryCache (a pure function of the tree) serves every point.
 //   * Memo transplant — warm exact-eval rows move between points under the
@@ -52,10 +51,9 @@
 #include "common/cancel.hpp"
 #include "common/status.hpp"
 #include "flow/config.hpp"
-#include "flow/world.hpp"
 #include "ndr/evaluation.hpp"
-#include "ndr/predictor.hpp"
 #include "obs/metrics.hpp"
+#include "tech/technology.hpp"
 
 namespace sndr::dse {
 
@@ -103,10 +101,6 @@ struct SweepResult {
   /// contains a point dominated by another feasible point.
   std::vector<int> front;
 
-  /// Predictor trained by the first solved point (or the shared one
-  /// passed in) — harvestable into a serve::SharedCache.
-  std::shared_ptr<const ndr::RuleImpactPredictor> trained_predictor;
-
   int n_nets = 0;
   int solved_points = 0;    ///< solved live this run.
   int resumed_points = 0;   ///< restored from the sweep checkpoint.
@@ -119,10 +113,10 @@ struct SweepResult {
 };
 
 struct ExploreOptions {
-  /// Shared immutable World for every point's session (the serve layer's
-  /// lease). Null: the first point loads/trains, later points reuse its
-  /// world — same sharing, locally harvested.
-  const flow::World* world = nullptr;
+  /// Shared immutable technology for every point's session (the serve
+  /// layer's cache). Null: the first point loads it and later points
+  /// share the first point's.
+  std::shared_ptr<const tech::Technology> tech;
   /// Cooperative cancellation, checked between points and threaded into
   /// every point's session.
   common::CancelToken cancel;

@@ -1,6 +1,7 @@
 #include "flow/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -32,9 +33,20 @@ bool parse_u64(const std::string& v, std::uint64_t& out) {
   return static_cast<bool>(is >> out) && is.eof();
 }
 
-bool parse_double(const std::string& v, double& out) {
+bool is_positive(double d) { return d > 0.0; }
+bool is_non_negative(double d) { return d >= 0.0; }
+/// A guard band: every limit is scaled by (1 - margin).
+bool is_margin(double d) { return d >= 0.0 && d < 1.0; }
+
+/// A finite double inside `valid`'s domain; `out` is untouched on failure.
+bool parse_double(const std::string& v, double& out,
+                  bool (*valid)(double) = nullptr) {
   std::istringstream is(v);
-  return static_cast<bool>(is >> out) && is.eof();
+  double d = 0.0;
+  if (!(is >> d) || !is.eof() || !std::isfinite(d)) return false;
+  if (valid != nullptr && !valid(d)) return false;
+  out = d;
+  return true;
 }
 
 /// Byte size with an optional K/M/G (or KB/MB/GB) suffix: "64M" = 64 MiB.
@@ -101,10 +113,10 @@ const std::map<std::string, Setter>& setters() {
                 c.checkpoint_interval > 0;
        }},
       {"power_weight", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.power_weight) && c.power_weight > 0.0;
+         return parse_double(v, c.power_weight, is_positive);
        }},
       {"max_skew", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.max_skew_ps) && c.max_skew_ps >= 0.0;
+         return parse_double(v, c.max_skew_ps, is_non_negative);
        }},
       {"warm_start", [](FlowConfig& c, const std::string& v) {
          c.warm_start = v;
@@ -136,16 +148,16 @@ const std::map<std::string, Setter>& setters() {
          return parse_int(v, c.training_samples) && c.training_samples > 0;
        }},
       {"slew_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.slew_margin);
+         return parse_double(v, c.slew_margin, is_margin);
        }},
       {"uncertainty_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.uncertainty_margin);
+         return parse_double(v, c.uncertainty_margin, is_margin);
        }},
       {"em_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.em_margin);
+         return parse_double(v, c.em_margin, is_margin);
        }},
       {"skew_margin", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.skew_margin);
+         return parse_double(v, c.skew_margin, is_margin);
        }},
       {"max_passes", [](FlowConfig& c, const std::string& v) {
          return parse_int(v, c.max_passes) && c.max_passes > 0;
@@ -154,13 +166,10 @@ const std::map<std::string, Setter>& setters() {
          return parse_int(v, c.max_repair_rounds) && c.max_repair_rounds >= 0;
        }},
       {"anneal_t_start_frac", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.anneal_t_start_frac);
+         return parse_double(v, c.anneal_t_start_frac, is_positive);
        }},
       {"anneal_t_end_frac", [](FlowConfig& c, const std::string& v) {
-         return parse_double(v, c.anneal_t_end_frac);
-       }},
-      {"prewarm", [](FlowConfig& c, const std::string& v) {
-         return parse_bool(v, c.prewarm);
+         return parse_double(v, c.anneal_t_end_frac, is_positive);
        }},
       {"results_dir", [](FlowConfig& c, const std::string& v) {
          c.results_dir = v;
@@ -204,8 +213,7 @@ bool parse_double_list(const std::vector<std::string>& values,
   parsed.reserve(values.size());
   for (const std::string& v : values) {
     double d = 0.0;
-    if (!parse_double(v, d)) return false;
-    if (valid != nullptr && !valid(d)) return false;
+    if (!parse_double(v, d, valid)) return false;
     parsed.push_back(d);
   }
   if (parsed.empty()) return false;
@@ -218,17 +226,16 @@ const std::map<std::string, ListSetter>& list_setters() {
       new std::map<std::string, ListSetter>{
           {"dse_power_weight",
            [](FlowConfig& c, const std::vector<std::string>& vs) {
-             return parse_double_list(vs, c.dse_power_weight,
-                                      [](double d) { return d > 0.0; });
+             return parse_double_list(vs, c.dse_power_weight, is_positive);
            }},
           {"dse_max_skew",
            [](FlowConfig& c, const std::vector<std::string>& vs) {
-             return parse_double_list(vs, c.dse_max_skew,
-                                      [](double d) { return d >= 0.0; });
+             return parse_double_list(vs, c.dse_max_skew, is_non_negative);
            }},
           {"dse_uncertainty_margin",
            [](FlowConfig& c, const std::vector<std::string>& vs) {
-             return parse_double_list(vs, c.dse_uncertainty_margin);
+             return parse_double_list(vs, c.dse_uncertainty_margin,
+                                      is_margin);
            }},
       };
   return *table;
@@ -386,12 +393,9 @@ std::vector<std::string> FlowConfig::known_keys() {
 
 ndr::OptimizerOptions FlowConfig::optimizer_options() const {
   ndr::OptimizerOptions o;
-  if (scoring == "exact_net") {
-    o.scoring = ndr::Scoring::kExactNet;
-    o.use_models = false;
+  if (scoring == "models") {
+    o.scoring = ndr::Scoring::kModels;
   } else if (scoring == "full_sta") {
-    // use_models stays true: the optimizer maps use_models == false to
-    // kExactNet regardless of `scoring`.
     o.scoring = ndr::Scoring::kFullSta;
   }
   o.training_samples = training_samples;
@@ -418,7 +422,6 @@ ndr::AnnealOptions FlowConfig::anneal_options() const {
   a.em_margin = em_margin;
   a.skew_margin = skew_margin;
   a.threads = threads;
-  a.prewarm = prewarm;
   a.geometry_budget_bytes = memory_budget_bytes;
   a.power_weight = power_weight;
   return a;

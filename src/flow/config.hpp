@@ -53,8 +53,10 @@ struct FlowConfig {
   int checkpoint_interval = 5000;
 
   // Optimizer knobs (ndr::OptimizerOptions).
-  std::string scoring = "models";  ///< models | exact_net | full_sta.
-  int training_samples = 400;
+  /// exact_net | models | full_sta; models and full_sta are the paper's
+  /// ablations (ndr::Scoring).
+  std::string scoring = "exact_net";
+  int training_samples = 400;  ///< models scoring only.
   double slew_margin = 0.05;
   double uncertainty_margin = 0.05;
   double em_margin = 0.05;
@@ -82,10 +84,6 @@ struct FlowConfig {
   // Anneal knobs (ndr::AnnealOptions; margins above are shared).
   double anneal_t_start_frac = 0.5;
   double anneal_t_end_frac = 0.005;
-  /// Batched exact-eval prewarm of the anneal memo (AnnealOptions::
-  /// prewarm). Results are bitwise identical either way; false measures
-  /// the lazy per-net path.
-  bool prewarm = true;
 
   // DSE (design-space exploration) sweep. `dse = true` turns the run into
   // a sweep over the axis lists below (empty axis = the scalar key's

@@ -193,7 +193,6 @@ common::Result<FlowResult> Flow::run() {
     if (config.smart) {
       ndr::OptimizerOptions o = config.optimizer_options();
       o.cancel = session_.cancel_token();
-      o.shared_predictor = session_.world().predictor;
       // Borrow the session's geometry (its own, or the DSE-shared one) and
       // adopt transplantable memo rows; both channels are value-neutral.
       o.shared_geometry = geometry;

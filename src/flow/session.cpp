@@ -14,12 +14,11 @@ common::Status Session::load() {
   if (config_.design_path.empty()) {
     return common::Status::InvalidArgument("no design configured");
   }
-  if (!config_.tech_path.empty() && !world_external_) {
+  if (!config_.tech_path.empty() && !tech_external_) {
     common::Result<tech::Technology> tech =
         tech::load_technology_file(config_.tech_path);
     if (!tech.ok()) return tech.status();
-    world_.tech = std::make_shared<const tech::Technology>(
-        std::move(tech.value()));
+    tech_ = std::make_shared<const tech::Technology>(std::move(tech.value()));
   }
   // Reuse hooks (DSE): another session already parsed this same file —
   // copying its pristine design is bitwise identical to re-parsing.
@@ -45,14 +44,9 @@ void Session::set_design(netlist::Design design) {
   loaded_ = true;
 }
 
-void Session::set_technology(tech::Technology tech) {
-  world_.tech =
-      std::make_shared<const tech::Technology>(std::move(tech));
-}
-
-void Session::set_world(World world) {
-  world_ = std::move(world);
-  world_external_ = true;
+void Session::set_technology(std::shared_ptr<const tech::Technology> tech) {
+  tech_ = std::move(tech);
+  tech_external_ = true;
 }
 
 }  // namespace sndr::flow

@@ -24,7 +24,6 @@
 #include "cts/embedding.hpp"
 #include "extract/net_geometry.hpp"
 #include "flow/config.hpp"
-#include "flow/world.hpp"
 #include "netlist/clock_nets.hpp"
 #include "netlist/design.hpp"
 #include "obs/scope.hpp"
@@ -72,17 +71,18 @@ class Session {
   common::Status load();
   bool loaded() const { return loaded_; }
 
-  /// Hands the session a design directly (tests, library callers); the
-  /// technology stays at its current value until load()/set_technology.
+  /// Hands the session a design directly (tests, library callers).
   void set_design(netlist::Design design);
-  void set_technology(tech::Technology tech);
 
-  /// Installs a shared immutable World (flow/world.hpp). load() then skips
-  /// the technology file — the World *is* the technology (and optionally a
-  /// warm predictor); the serve layer resolves config.tech_path through its
-  /// SharedCache before constructing the session.
-  void set_world(World world);
-  const World& world() const { return world_; }
+  /// Installs a shared immutable technology. load() then skips the
+  /// technology file; the serve layer resolves config.tech_path through
+  /// its SharedCache, and a DSE sweep hands its first point's technology
+  /// to every later point. Technology is a plain value nobody writes, so
+  /// sharing it needs no locks and cannot perturb results.
+  void set_technology(std::shared_ptr<const tech::Technology> tech);
+  const std::shared_ptr<const tech::Technology>& shared_technology() const {
+    return tech_;
+  }
 
   /// This run's cooperative cancel token. Flow checks it between stages;
   /// it is forwarded into the optimizer/annealer options, whose loops
@@ -95,7 +95,7 @@ class Session {
   // flow's build stages (Flow::prepare).
   netlist::Design& design() { return design_; }
   const netlist::Design& design() const { return design_; }
-  const tech::Technology& technology() const { return *world_.tech; }
+  const tech::Technology& technology() const { return *tech_; }
   /// The synthesized tree — the session's own, or the one borrowed through
   /// the reuse hooks (a DSE warm point reads the anchor's tree in place;
   /// Flow then never builds or mutates a private copy).
@@ -130,10 +130,12 @@ class Session {
   common::ThreadBudget thread_budget_;
   common::CancelToken cancel_;
   bool loaded_ = false;
-  bool world_external_ = false;  ///< set_world called; load() keeps it.
+  bool tech_external_ = false;  ///< set_technology called; load() keeps it.
 
   netlist::Design design_;
-  World world_ = World::make_default();
+  std::shared_ptr<const tech::Technology> tech_ =
+      std::make_shared<const tech::Technology>(
+          tech::Technology::make_default_45nm());
   cts::CtsResult cts_;
   netlist::NetList nets_;
   std::unique_ptr<extract::GeometryCache> geometry_;

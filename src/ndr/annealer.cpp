@@ -55,7 +55,7 @@ AnnealResult anneal_rules(const netlist::ClockTree& tree,
   // lazily-warmed rows run one net per kernel call; warming up front fills
   // the SIMD lanes with same-shaped nets instead. Bitwise-identical cached
   // values mean the trajectory is unchanged.
-  if (options.prewarm && options.iterations > 0) state.warm_all_rows();
+  if (options.iterations > 0) state.warm_all_rows();
 
   const MoveMargins margins{options.slew_margin, options.uncertainty_margin,
                             options.em_margin, options.skew_margin};

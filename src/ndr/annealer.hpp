@@ -66,11 +66,6 @@ struct AnnealOptions {
   double skew_margin = 0.10;
   /// Same semantics as OptimizerOptions::threads (-1 inherits global).
   int threads = -1;
-  /// Prefetch every net's exact-eval memo row up front with cross-net
-  /// batched kernels (shape-bucketed lanes). Values are bitwise equal to
-  /// the lazy per-net path, so this changes WHEN the evaluation work
-  /// happens, never any result; disable to measure the lazy path.
-  bool prewarm = true;
   /// Byte budget for the search's GeometryCache (0 = unbounded); same
   /// semantics as OptimizerOptions::geometry_budget_bytes.
   std::size_t geometry_budget_bytes = 0;

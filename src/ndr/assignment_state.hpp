@@ -181,7 +181,7 @@ class AssignmentState {
   /// per row filled, as in exact_eval.
   void warm_rows(const std::vector<int>& net_ids) const;
 
-  /// warm_rows over every net (the annealer's prewarm).
+  /// warm_rows over every net (the annealer warms every row up front).
   void warm_all_rows() const;
 
   /// Rule-independent net geometry shared by every evaluation this state

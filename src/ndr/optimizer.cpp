@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
@@ -33,7 +34,6 @@ class Optimizer {
         tech_(tech),
         nets_(nets),
         opt_(opt),
-        scoring_(opt.use_models ? opt.scoring : Scoring::kExactNet),
         margins_{opt.slew_margin, opt.uncertainty_margin, opt.em_margin,
                  opt.skew_margin},
         state_(tree, design, tech, nets, opt.analysis,
@@ -68,17 +68,13 @@ class Optimizer {
   const tech::Technology& tech_;
   const netlist::NetList& nets_;
   OptimizerOptions opt_;
-  Scoring scoring_;
   MoveMargins margins_;
 
   AssignmentState state_;
   RuleAssignment assignment_;  ///< mirror of state_.assignment().
 
-  /// Trained here or handed in via opt_.shared_predictor (immutable either
-  /// way — predict() is const and the serve layer shares one instance
-  /// across concurrent jobs).
-  std::shared_ptr<const RuleImpactPredictor> predictor_;
-  bool predictor_ready_ = false;
+  /// Trained in-run under Scoring::kModels, after the start repair.
+  std::optional<RuleImpactPredictor> predictor_;
   bool blanket_was_feasible_ = false;
 
   OptimizerStats stats_;
@@ -93,7 +89,7 @@ void Optimizer::commit(int net_id, int rule_idx, const NetExact& exact) {
 }
 
 bool Optimizer::improve_net(int net_id) {
-  if (scoring_ == Scoring::kFullSta) return improve_net_full_sta(net_id);
+  if (opt_.scoring == Scoring::kFullSta) return improve_net_full_sta(net_id);
   const double cap_now = state_.net_cap(net_id);
   const NetSummary& summary = state_.summary(net_id);
 
@@ -108,7 +104,7 @@ bool Optimizer::improve_net(int net_id) {
 
   for (const auto& [cap_new, r] : cands) {
     ++stats_.candidates_scored;
-    if (scoring_ == Scoring::kModels && predictor_ready_) {
+    if (predictor_) {
       const NetImpact impact = predictor_->predict(summary, r);
       if (!state_.check_move(net_id, r, impact, margins_)) continue;
       // Validate the winning candidate with the exact per-net engines.
@@ -335,22 +331,14 @@ SmartNdrResult Optimizer::run() {
     repair(ev);
   }
 
-  if (scoring_ == Scoring::kModels) {
+  if (opt_.scoring == Scoring::kModels) {
     opt_.cancel.check();
-    if (opt_.shared_predictor) {
-      // Training is deterministic in its inputs, so a cached predictor
-      // scores — and therefore assigns — bitwise identically to one
-      // trained fresh here; train_seconds stays 0 to make the skip visible.
-      predictor_ = opt_.shared_predictor;
-    } else {
-      const auto t0 = Clock::now();
-      predictor_ = std::make_shared<const RuleImpactPredictor>(
-          RuleImpactPredictor::train(tree_, design_, tech_, nets_,
-                                     state_.geometry_cache(), opt_.analysis,
-                                     opt_.training_samples));
-      stats_.train_seconds = seconds_since(t0);
-    }
-    predictor_ready_ = true;
+    const auto t0 = Clock::now();
+    predictor_ = RuleImpactPredictor::train(tree_, design_, tech_, nets_,
+                                            state_.geometry_cache(),
+                                            opt_.analysis,
+                                            opt_.training_samples);
+    stats_.train_seconds = seconds_since(t0);
   }
 
   // Sweep order: leaf-first (deepest nets carry most of the wirelength and
@@ -376,7 +364,7 @@ SmartNdrResult Optimizer::run() {
   // them; prefetching the sweep's rows with cross-net shape-bucketed
   // batches does the same work with full SIMD lanes. Cached values are
   // bitwise identical either way, so the sweep's decisions are unchanged.
-  if (scoring_ == Scoring::kExactNet) state_.warm_rows(sweep);
+  if (opt_.scoring == Scoring::kExactNet) state_.warm_rows(sweep);
 
   const auto t1 = Clock::now();
   {
@@ -415,10 +403,7 @@ SmartNdrResult Optimizer::run() {
   result.assignment = assignment_;
   result.final_eval = std::move(ev);
   result.stats = stats_;
-  if (predictor_ready_) {
-    result.train_report = predictor_->report();
-    result.trained_predictor = predictor_;
-  }
+  if (predictor_) result.train_report = predictor_->report();
   result.rule_histogram.assign(tech_.rules.size(), 0);
   for (const int r : assignment_) ++result.rule_histogram[r];
   return result;

@@ -13,19 +13,21 @@
 //                 the layer limit;
 //   * resources — per-region routing capacity is never exceeded.
 //
-// Candidate scoring uses the learned per-rule models (plus exact analytic
-// capacitance and EM bounds); a commit is validated with an exact per-net
-// re-extraction and applied incrementally in O(affected) — the moved net,
-// its descendant subtree and the sinks under it — with the incremental
-// state bitwise equal to a full re-analysis, so full evaluations run only
-// at the start, in repair and at the final signoff. `use_models = false`
-// degenerates to exact re-extraction scoring, which is the slow flow the
-// paper compares against.
+// By default each candidate is scored with an exact per-net re-extraction
+// (Scoring::kExactNet): the result is memoized per (net, rule) and the
+// sweep's rows are prefetched with cross-net batched kernels, so exact
+// scoring costs no more than the paper's learned per-rule models and
+// loses nothing to their error. The models (Scoring::kModels, trained in
+// the run) and full re-extraction + STA per candidate (Scoring::kFullSta)
+// stay selectable as the paper's ablations. A commit is applied
+// incrementally in O(affected) — the moved net, its descendant subtree
+// and the sinks under it — with the incremental state bitwise equal to a
+// full re-analysis, so full evaluations run only at the start, in repair
+// and at the final signoff.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "common/cancel.hpp"
 #include "ndr/evaluation.hpp"
@@ -43,16 +45,15 @@ struct MemoSnapshot;  // assignment_state.hpp
 
 /// How candidate (net, rule) moves are scored before the commit validation.
 enum class Scoring {
-  kModels,    ///< learned per-rule models (the paper's method).
-  kExactNet,  ///< exact per-net re-extraction per candidate.
+  kModels,    ///< learned per-rule models (the paper's method; ablation).
+  kExactNet,  ///< exact per-net re-extraction per candidate (default).
   kFullSta,   ///< full extraction + STA per candidate (the naive flow the
               ///< paper's runtime comparison is against; very slow).
 };
 
 struct OptimizerOptions {
-  Scoring scoring = Scoring::kModels;
-  bool use_models = true;  ///< legacy alias; false selects kExactNet.
-  int training_samples = 400;
+  Scoring scoring = Scoring::kExactNet;
+  int training_samples = 400;  ///< kModels only.
 
   /// Parallelism for the evaluation engine: -1 inherits the process-wide
   /// setting (default: hardware concurrency), 0/1 force the serial
@@ -91,13 +92,6 @@ struct OptimizerOptions {
   /// cancelled, so standalone callers pay one relaxed load per net.
   common::CancelToken cancel;
 
-  /// Pre-trained predictor to reuse instead of training in-run (the serve
-  /// layer's SharedCache hands these out). Training is deterministic in
-  /// (tree, design, tech, nets, analysis, training_samples, geometry), so
-  /// a cache hit is bitwise-identical to training fresh. Ignored when
-  /// scoring != kModels. Null = train here.
-  std::shared_ptr<const RuleImpactPredictor> shared_predictor;
-
   /// Objective weight on switched capacitance. The greedy objective is
   /// pure min-cap per net, which is scale-invariant — this knob does NOT
   /// change the greedy result; it exists so one FlowConfig carries the
@@ -134,7 +128,7 @@ struct OptimizerStats {
   int full_evals = 0;
   int repair_upgrades = 0;
   int passes = 0;
-  double train_seconds = 0.0;
+  double train_seconds = 0.0;  ///< predictor training; 0 unless kModels.
   double optimize_seconds = 0.0;
 
   /// exact_eval memo-cache counters (AssignmentState).
@@ -151,14 +145,9 @@ struct SmartNdrResult {
   RuleAssignment assignment;
   FlowEvaluation final_eval;  ///< exact signoff of the final assignment.
   OptimizerStats stats;
-  TrainReport train_report;   ///< empty when use_models is false.
+  TrainReport train_report;   ///< empty unless scoring is kModels.
   /// Histogram: rule_count[rule] = number of nets on that rule.
   std::vector<int> rule_histogram;
-  /// The predictor this run scored with (trained here, or the shared one
-  /// passed in) — harvestable into a serve::SharedCache so later jobs on
-  /// the same (design, tech, samples) skip training. Null when
-  /// scoring != kModels.
-  std::shared_ptr<const RuleImpactPredictor> trained_predictor;
 };
 
 /// Runs the full smart-NDR flow on a synthesized tree.

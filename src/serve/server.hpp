@@ -3,12 +3,11 @@
 // Jobs are FlowConfigs. submit() applies admission control and enqueues;
 // a fixed pool of worker threads pops jobs FIFO and runs each through
 // serve::execute_job with the shared cache (technology parsed once per
-// distinct file, predictors trained once per distinct input triple) and a
-// per-job CancelToken. Everything a job observes lands in its private
-// ObsScope; on completion the server folds that snapshot into its own
-// server-level registry, so one manifest answers "what has this server
-// done" (admit/reject/cancel counters, queue depth, per-job wall-time
-// histogram, plus the summed core metrics of every job).
+// distinct file) and a per-job CancelToken. Everything a job observes
+// lands in its private ObsScope; on completion the server folds that
+// snapshot into its own server-level registry, so one manifest answers
+// "what has this server done" (admit/reject/cancel counters, queue depth,
+// per-job wall-time histogram, plus the summed core metrics of every job).
 //
 // Admission control (DESIGN.md §12):
 //   * Memory. With a server memory budget set, every job must declare its

@@ -1,27 +1,20 @@
-// SharedCache: cross-job reuse of the immutable half of a run.
+// SharedCache: cross-job reuse of the immutable technology.
 //
 // A multi-tenant server runs many jobs against few distinct inputs; the
-// cache keys each immutable artifact by a *content* fingerprint (FNV-1a
+// cache keys each parsed technology by a *content* fingerprint (FNV-1a
 // over the file bytes — renaming or touching a file does not defeat
-// sharing, editing it does) and hands out refcounted handles:
-//
-//   * Technology: parsed once per distinct tech file (or the built-in
-//     default), shared read-only by every job that names it.
-//   * RuleImpactPredictor: trained once per distinct (design content,
-//     tech content, training_samples) triple and harvested from the first
-//     job's result (SmartNdrResult::trained_predictor); later jobs skip
-//     the train stage entirely. Training is deterministic in exactly that
-//     key, so a cache hit is bitwise identical to training fresh — the
-//     serve soak bench asserts this against serial CLI runs.
+// sharing, editing it does) and hands out refcounted handles: a
+// technology is parsed once per distinct tech file (or the built-in
+// default) and shared read-only by every job that names it.
 //
 // Failure never flows through the cache: when an input file cannot be
-// read, acquire() returns an invalid lease and the job's own Session
-// reproduces the canonical error (same loader, same message, same error
-// order as the standalone CLI).
+// read, acquire() returns null and the job's own Session reproduces the
+// canonical error (same loader, same message, same error order as the
+// standalone CLI).
 //
 // Thread safety: every method is safe to call concurrently; the mutex
-// guards only the maps, never a parse or a train (those happen outside,
-// keyed work may race benignly — last identical value wins).
+// guards only the map, never a parse (a keyed miss may race benignly —
+// last identical value wins).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +25,7 @@
 
 #include "common/status.hpp"
 #include "flow/config.hpp"
-#include "flow/world.hpp"
+#include "tech/technology.hpp"
 
 namespace sndr::serve {
 
@@ -42,44 +35,26 @@ common::Result<std::string> file_fingerprint(const std::string& path);
 
 class SharedCache {
  public:
-  struct Lease {
-    /// False when fingerprinting/parsing an input failed — the job should
-    /// proceed without set_world() and let its Session report the error
-    /// through the canonical loaders.
-    bool valid = false;
-    flow::World world;
-    /// Non-empty when this job's config makes predictor reuse applicable
-    /// (smart flow, models scoring): the key to store_predictor() the
-    /// trained model under after the run. world.predictor is already set
-    /// on a cache hit.
-    std::string predictor_key;
-  };
-
-  /// Resolves config.tech_path (or the default technology) and, when
-  /// applicable, a previously-harvested predictor into a World.
-  Lease acquire(const flow::FlowConfig& config);
-
-  /// Publishes a trained predictor under `key` (from Lease::predictor_key).
-  /// Idempotent; concurrent stores of the same key keep the last one —
-  /// identical by determinism, so the race is benign.
-  void store_predictor(
-      const std::string& key,
-      std::shared_ptr<const ndr::RuleImpactPredictor> predictor);
+  /// The technology config.tech_path names (or the built-in default),
+  /// parsed once per content. Null when fingerprinting or parsing the
+  /// file failed: the job should then run without set_technology() and
+  /// let its Session report the error through the canonical loaders.
+  std::shared_ptr<const tech::Technology> acquire(
+      const flow::FlowConfig& config);
 
   struct Stats {
     std::int64_t tech_hits = 0;
     std::int64_t tech_misses = 0;
+    /// Always 0: the cache no longer holds trained predictors (`models`
+    /// scoring trains in-run). Kept so existing readers still compile.
     std::int64_t predictor_hits = 0;
     std::int64_t predictor_misses = 0;
-    std::int64_t predictor_stores = 0;
   };
   Stats stats() const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const tech::Technology>> tech_;
-  std::map<std::string, std::shared_ptr<const ndr::RuleImpactPredictor>>
-      predictors_;
   Stats stats_;
 };
 

@@ -16,29 +16,15 @@ JobOutcome execute_job(flow::FlowConfig config, SharedCache* cache,
     // A DSE job is a whole sweep: the explorer owns the per-point sessions
     // (warm-start chaining is inherently sequential), so it runs in this
     // worker's lane rather than fanning out across the pool. The shared
-    // World still comes from the cache, and a predictor trained by the
-    // sweep's first point is harvested back.
-    std::string predictor_key;
-    flow::World world;
+    // technology still comes from the cache.
     dse::ExploreOptions eo;
     eo.cancel = token;
-    if (cache != nullptr) {
-      SharedCache::Lease lease = cache->acquire(config);
-      if (lease.valid) {
-        predictor_key = lease.predictor_key;
-        world = std::move(lease.world);
-        eo.world = &world;
-      }
-    }
+    if (cache != nullptr) eo.tech = cache->acquire(config);
     common::Result<dse::SweepResult> sweep = dse::explore(config, eo);
     if (sweep.ok()) {
       out.dse = std::move(sweep).value();
       out.design_name = config.design_path;
       out.nets = out.dse->n_nets;
-      if (cache != nullptr && !predictor_key.empty() &&
-          out.dse->trained_predictor != nullptr) {
-        cache->store_predictor(predictor_key, out.dse->trained_predictor);
-      }
       out.metrics = out.dse->metrics;
     } else {
       out.status = sweep.status();
@@ -52,15 +38,12 @@ JobOutcome execute_job(flow::FlowConfig config, SharedCache* cache,
   flow::Session session(std::move(config));
   session.cancel_token() = std::move(token);
 
-  std::string predictor_key;
   if (cache != nullptr) {
-    SharedCache::Lease lease = cache->acquire(session.config());
-    if (lease.valid) {
-      predictor_key = lease.predictor_key;
-      session.set_world(std::move(lease.world));
+    // Null: run without a shared technology — Session::load() walks the
+    // same loaders in the same order and reports the canonical error.
+    if (auto tech = cache->acquire(session.config())) {
+      session.set_technology(std::move(tech));
     }
-    // Invalid lease: run without a shared World — Session::load() walks
-    // the same loaders in the same order and reports the canonical error.
   }
 
   flow::Flow flow(session);
@@ -72,10 +55,6 @@ JobOutcome execute_job(flow::FlowConfig config, SharedCache* cache,
     out.buffers = session.cts().buffers;
     out.nets = session.nets().size();
     out.wirelength = session.cts().wirelength;
-    if (cache != nullptr && !predictor_key.empty() && out.result->smart) {
-      cache->store_predictor(predictor_key,
-                             out.result->smart->trained_predictor);
-    }
   } else {
     out.status = run.status();
   }

@@ -55,10 +55,9 @@ struct JobOutcome {
 /// Runs one job to completion (or cancellation) in the calling thread.
 ///
 /// `cache` may be null (standalone CLI): the session then loads its own
-/// technology and trains its own predictor. With a cache, the session is
-/// seeded with a shared World and a predictor trained during the run is
-/// harvested back into the cache. `token` cancels cooperatively; a
-/// default-constructed token never fires.
+/// technology. With a cache, the session is seeded with the cache's
+/// shared technology. `token` cancels cooperatively; a default-constructed
+/// token never fires.
 ///
 /// Never throws; every failure (including cancellation) comes back as
 /// outcome.status.

@@ -1,9 +1,11 @@
 #include "tech/technology.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace sndr::tech {
@@ -60,6 +62,22 @@ namespace {
   throw common::ParseError(os.str());
 }
 
+/// Physical domain of a numeric field: every value must be finite, and
+/// some must be strictly positive (a zero width, resistance or supply has
+/// no physical reading and divides somewhere downstream).
+enum class Domain { kPositive, kNonNegative };
+
+void check_domain(double v, Domain domain, const std::string& field,
+                  const std::string& source, int line_no,
+                  const std::string& line) {
+  const bool positive = domain == Domain::kPositive;
+  if (!std::isfinite(v) || (positive ? !(v > 0.0) : !(v >= 0.0))) {
+    parse_error(source, line_no, line,
+                field + (positive ? " must be finite and > 0"
+                                  : " must be finite and >= 0"));
+  }
+}
+
 }  // namespace
 
 Technology Technology::from_text(const std::string& text,
@@ -69,22 +87,24 @@ Technology Technology::from_text(const std::string& text,
   std::vector<BufferCell> buffers;
   std::string blanket_name;
 
-  std::map<std::string, double*> scalar_fields = {
-      {"vdd", &t.vdd},
-      {"miller_delay", &t.miller_delay},
-      {"miller_power", &t.miller_power},
-      {"aggressor_activity", &t.aggressor_activity},
-      {"em_crest_factor", &t.em_crest_factor},
-      {"layer.min_width", &t.clock_layer.min_width},
-      {"layer.min_space", &t.clock_layer.min_space},
-      {"layer.r_sheet", &t.clock_layer.r_sheet},
-      {"layer.c_area", &t.clock_layer.c_area},
-      {"layer.c_fringe", &t.clock_layer.c_fringe},
-      {"layer.k_couple", &t.clock_layer.k_couple},
-      {"layer.s_offset", &t.clock_layer.s_offset},
-      {"layer.em_jmax", &t.clock_layer.em_jmax},
-      {"layer.sigma_width", &t.clock_layer.sigma_width},
-      {"layer.sigma_thickness", &t.clock_layer.sigma_thickness},
+  constexpr Domain kPos = Domain::kPositive;
+  constexpr Domain kNonNeg = Domain::kNonNegative;
+  const std::map<std::string, std::pair<double*, Domain>> scalar_fields = {
+      {"vdd", {&t.vdd, kPos}},
+      {"miller_delay", {&t.miller_delay, kNonNeg}},
+      {"miller_power", {&t.miller_power, kNonNeg}},
+      {"aggressor_activity", {&t.aggressor_activity, kNonNeg}},
+      {"em_crest_factor", {&t.em_crest_factor, kPos}},
+      {"layer.min_width", {&t.clock_layer.min_width, kPos}},
+      {"layer.min_space", {&t.clock_layer.min_space, kPos}},
+      {"layer.r_sheet", {&t.clock_layer.r_sheet, kPos}},
+      {"layer.c_area", {&t.clock_layer.c_area, kPos}},
+      {"layer.c_fringe", {&t.clock_layer.c_fringe, kNonNeg}},
+      {"layer.k_couple", {&t.clock_layer.k_couple, kNonNeg}},
+      {"layer.s_offset", {&t.clock_layer.s_offset, kNonNeg}},
+      {"layer.em_jmax", {&t.clock_layer.em_jmax, kPos}},
+      {"layer.sigma_width", {&t.clock_layer.sigma_width, kNonNeg}},
+      {"layer.sigma_thickness", {&t.clock_layer.sigma_thickness, kNonNeg}},
   };
 
   std::istringstream is(text);
@@ -116,6 +136,10 @@ Technology Technology::from_text(const std::string& text,
       if (!(val_is >> r.name >> r.width_mult >> r.space_mult)) {
         parse_error(source, line_no, line, "expected 'rule = NAME WMULT SMULT'");
       }
+      check_domain(r.width_mult, kPos, "rule width multiplier", source,
+                   line_no, line);
+      check_domain(r.space_mult, kPos, "rule spacing multiplier", source,
+                   line_no, line);
       rules.push_back(r);
     } else if (key == "blanket_rule") {
       val_is >> blanket_name;
@@ -127,11 +151,23 @@ Technology Technology::from_text(const std::string& text,
         parse_error(source, line_no, line,
                     "expected 'buffer = NAME RES CAP TINTR EINT CMAX SSENS'");
       }
+      const auto field = [&](double v, Domain domain, const char* what) {
+        check_domain(v, domain, std::string("buffer ") + what, source,
+                     line_no, line);
+      };
+      field(c.drive_res, kPos, "drive resistance");
+      field(c.input_cap, kPos, "input cap");
+      field(c.intrinsic_delay, kNonNeg, "intrinsic delay");
+      field(c.internal_energy, kNonNeg, "internal energy");
+      field(c.max_cap, kPos, "max cap");
+      field(c.slew_sensitivity, kNonNeg, "slew sensitivity");
       buffers.push_back(c);
     } else if (auto it = scalar_fields.find(key); it != scalar_fields.end()) {
-      if (!(val_is >> *it->second)) {
+      const auto [field, domain] = it->second;
+      if (!(val_is >> *field)) {
         parse_error(source, line_no, line, "expected a numeric value");
       }
+      check_domain(*field, domain, key, source, line_no, line);
     } else {
       parse_error(source, line_no, line, "unknown key '" + key + "'");
     }

@@ -176,6 +176,34 @@ TEST(Cli, CliFlagsOverrideConfigFileValues) {
   EXPECT_FALSE(fs::exists(results + "/from_file.csv"));
 }
 
+TEST(Cli, OutOfDomainConfigValuesExitUsage) {
+  // Guard bands must be in [0, 1) and anneal temperatures > 0; a value
+  // outside is a usage error naming the key, with path:line from a file.
+  const std::string conf = path_in_scratch("bad_margin.conf");
+  std::ofstream(conf) << "threads = 1\nslew_margin = -5\n";
+  std::string out;
+  EXPECT_EQ(run_cli("run --design " + design_path() + " --config " + conf,
+                    &out),
+            2);
+  EXPECT_NE(out.find("bad_margin.conf:2:"), std::string::npos) << out;
+  EXPECT_NE(out.find("slew_margin"), std::string::npos) << out;
+  EXPECT_EQ(run_cli("run --design " + design_path() +
+                        " --anneal-t-start-frac -1",
+                    &out),
+            2);
+  EXPECT_NE(out.find("anneal-t-start-frac"), std::string::npos) << out;
+}
+
+TEST(Cli, OutOfDomainTechValueExitsParseError) {
+  const std::string tech = path_in_scratch("neg_rsheet.tech");
+  std::ofstream(tech) << "vdd = 1.1\nlayer.r_sheet = -0.5\n";
+  std::string out;
+  EXPECT_EQ(run_cli("run --design " + design_path() + " --tech " + tech,
+                    &out),
+            4);
+  EXPECT_NE(out.find("neg_rsheet.tech:2:"), std::string::npos) << out;
+}
+
 TEST(Cli, EvalUniformRule) {
   std::string out;
   EXPECT_EQ(run_cli("eval --design " + design_path() +

@@ -479,8 +479,6 @@ TEST(DomainObjective, ActivityChangesRuleAssignment) {
   // library; scan a deterministic ladder and require a split to appear).
   netlist::Design plain = w.design;
   plain.clock_domains = netlist::ClockDomainMap();
-  ndr::OptimizerOptions o;
-  o.use_models = false;
   bool split = false;
   for (const double mult : {10.0, 11.0, 12.0, 14.0}) {
     netlist::Design gated_d = w.design;
@@ -488,9 +486,9 @@ TEST(DomainObjective, ActivityChangesRuleAssignment) {
     netlist::Design plain_d = plain;
     plain_d.constraints.clock_freq *= mult;
     const ndr::SmartNdrResult gated = ndr::optimize_smart_ndr(
-        w.tree, gated_d, tech45(), w.nets, o);
+        w.tree, gated_d, tech45(), w.nets);
     const ndr::SmartNdrResult capacity_only = ndr::optimize_smart_ndr(
-        w.tree, plain_d, tech45(), w.nets, o);
+        w.tree, plain_d, tech45(), w.nets);
     if (gated.assignment != capacity_only.assignment) {
       split = true;
       // The divergence must sit in the reduced-rate subtrees, and must

@@ -62,7 +62,7 @@ TEST(FlowConfig, PrecedenceIsCliOverFileOverDefaults) {
   EXPECT_EQ(config.results_dir, "out");
   // ...untouched keys keep their defaults...
   EXPECT_EQ(config.max_passes, 4);
-  EXPECT_EQ(config.scoring, "models");
+  EXPECT_EQ(config.scoring, "exact_net");
   // ...and a later set() (the CLI path) overrides the file.
   ASSERT_TRUE(config.set("threads", "4").ok());
   ASSERT_TRUE(config.set("smart", "true").ok());
@@ -125,6 +125,7 @@ TEST(FlowConfig, KnownKeysRoundTripThroughSet) {
   for (const std::string& key : flow::FlowConfig::known_keys()) {
     // Values that parse for every key type (paths accept anything).
     Status s = config.set(key, "1");
+    if (!s.ok()) s = config.set(key, "0.5");     // margins: [0, 1).
     if (!s.ok()) s = config.set(key, "models");  // enum: scoring.
     if (!s.ok()) s = config.set(key, "grid");    // enum: dse_mode.
     EXPECT_TRUE(s.ok()) << key << ": " << s.to_string();
@@ -142,22 +143,21 @@ TEST(FlowConfig, OutputPathResolvesUnderResultsDir) {
 
 TEST(FlowConfig, MapsToOptimizerAndAnnealOptions) {
   flow::FlowConfig config;
-  config.scoring = "exact_net";
+  config.scoring = "models";
   config.training_samples = 123;
   config.slew_margin = 0.07;
   config.threads = 1;
   ndr::OptimizerOptions opt = config.optimizer_options();
-  EXPECT_EQ(opt.scoring, ndr::Scoring::kExactNet);
-  EXPECT_FALSE(opt.use_models);
+  EXPECT_EQ(opt.scoring, ndr::Scoring::kModels);
   EXPECT_EQ(opt.training_samples, 123);
   EXPECT_DOUBLE_EQ(opt.slew_margin, 0.07);
 
   config.scoring = "full_sta";
   opt = config.optimizer_options();
   EXPECT_EQ(opt.scoring, ndr::Scoring::kFullSta);
-  // The optimizer maps use_models==false to kExactNet regardless of
-  // `scoring`, so full_sta must keep use_models set.
-  EXPECT_TRUE(opt.use_models);
+  config.scoring = "exact_net";
+  opt = config.optimizer_options();
+  EXPECT_EQ(opt.scoring, ndr::Scoring::kExactNet);
 
   config.anneal_iterations = 500;
   config.anneal_t_start_frac = 0.25;
@@ -167,27 +167,62 @@ TEST(FlowConfig, MapsToOptimizerAndAnnealOptions) {
   EXPECT_DOUBLE_EQ(ann.slew_margin, 0.07);  // shared margin flows through.
 }
 
-TEST(FlowConfig, PrewarmKeyWiresToAnnealOptions) {
-  flow::FlowConfig config;
-  EXPECT_TRUE(config.prewarm);  // batched prewarm is the default.
-  EXPECT_TRUE(config.anneal_options().prewarm);
-  ASSERT_TRUE(config.set("prewarm", "false").ok());
-  EXPECT_FALSE(config.anneal_options().prewarm);
-  // Same key via the flag spelling and a config file.
-  ASSERT_TRUE(config.set("prewarm", "true").ok());
-  EXPECT_TRUE(config.anneal_options().prewarm);
-  const std::string conf =
-      write_file("flow_test_prewarm.conf", "prewarm = false\n");
-  ASSERT_TRUE(config.from_file(conf).ok());
-  EXPECT_FALSE(config.anneal_options().prewarm);
+TEST(FlowConfig, DefaultScoringIsExactNetEverywhere) {
+  // The flow's default and the library's default are one scoring mode.
+  EXPECT_EQ(flow::FlowConfig{}.optimizer_options().scoring,
+            ndr::OptimizerOptions{}.scoring);
+  EXPECT_EQ(ndr::OptimizerOptions{}.scoring, ndr::Scoring::kExactNet);
 }
 
-TEST(FlowConfig, PrewarmRejectsBadValues) {
+TEST(FlowConfig, MarginsMustBeFiniteFractionsBelowOne) {
+  for (const char* key :
+       {"slew_margin", "uncertainty_margin", "em_margin", "skew_margin"}) {
+    flow::FlowConfig config;
+    for (const char* bad : {"-5", "-0.01", "1", "1.5", "nan", "inf", "1e999"}) {
+      const Status s = config.set(key, bad);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << bad;
+      EXPECT_NE(s.message().find(key), std::string::npos) << s.message();
+    }
+    ASSERT_TRUE(config.set(key, "0").ok()) << key;
+    ASSERT_TRUE(config.set(key, "0.999").ok()) << key;
+  }
+  // A rejected value leaves the previous one in place.
   flow::FlowConfig config;
-  const Status s = config.set("prewarm", "maybe");
+  ASSERT_TRUE(config.set("slew_margin", "0.2").ok());
+  ASSERT_FALSE(config.set("slew_margin", "-5").ok());
+  EXPECT_DOUBLE_EQ(config.slew_margin, 0.2);
+}
+
+TEST(FlowConfig, AnnealTemperatureFractionsMustBePositive) {
+  for (const char* key : {"anneal_t_start_frac", "anneal_t_end_frac"}) {
+    flow::FlowConfig config;
+    for (const char* bad : {"-1", "0", "nan", "inf"}) {
+      const Status s = config.set(key, bad);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << bad;
+      EXPECT_NE(s.message().find(key), std::string::npos) << s.message();
+    }
+    EXPECT_TRUE(config.set(key, "2.5").ok()) << key;
+  }
+}
+
+TEST(FlowConfig, DomainErrorsFromFileCarryPathAndLine) {
+  flow::FlowConfig config;
+  const std::string conf = write_file(
+      "flow_test_domain.conf", "threads = 1\nanneal_t_start_frac = -1\n");
+  const Status s = config.from_file(conf);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("prewarm"), std::string::npos);
-  EXPECT_TRUE(config.prewarm);  // a rejected value must not half-apply.
+  EXPECT_NE(s.message().find(conf + ":2:"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("anneal_t_start_frac"), std::string::npos);
+}
+
+TEST(FlowConfig, UncertaintyMarginAxisInheritsTheMarginDomain) {
+  flow::FlowConfig config;
+  EXPECT_TRUE(config.set("dse_uncertainty_margin", "0,0.05,0.5").ok());
+  const Status s = config.set("dse_uncertainty_margin", "0.05,1");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("dse_uncertainty_margin"), std::string::npos);
+  EXPECT_EQ(config.set("dse_uncertainty_margin", "-0.1").code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---- Typed loader boundaries ----------------------------------------------

@@ -297,8 +297,8 @@ TEST_F(OptimizerFixture, HistogramMatchesAssignment) {
 
 TEST_F(OptimizerFixture, ExactModeMatchesModelModeClosely) {
   OptimizerOptions model_opt;
-  OptimizerOptions exact_opt;
-  exact_opt.use_models = false;
+  model_opt.scoring = Scoring::kModels;
+  const OptimizerOptions exact_opt;  // the default.
   const SmartNdrResult m = optimize_smart_ndr(f.cts.tree, f.design, f.tech,
                                               f.nets, model_opt);
   const SmartNdrResult e = optimize_smart_ndr(f.cts.tree, f.design, f.tech,
@@ -322,6 +322,7 @@ TEST_F(OptimizerFixture, FullStaScoringAgreesOnSmallDesign) {
   // approximate), at vastly higher full-evaluation counts.
   test::Flow g = test::small_flow(64, 31);
   OptimizerOptions model_opt;
+  model_opt.scoring = Scoring::kModels;
   OptimizerOptions sta_opt;
   sta_opt.scoring = Scoring::kFullSta;
   const SmartNdrResult m =
@@ -342,7 +343,10 @@ TEST_F(OptimizerFixture, StatsPopulated) {
   EXPECT_GT(r.stats.candidates_scored, 0);
   EXPECT_GT(r.stats.full_evals, 0);
   EXPECT_GE(r.stats.passes, 1);
-  EXPECT_GT(r.train_report.train_samples, 0);
+  EXPECT_GT(r.stats.exact_net_evals, 0);
+  // Exact scoring is the default: no predictor is trained.
+  EXPECT_EQ(r.train_report.train_samples, 0);
+  EXPECT_EQ(r.stats.train_seconds, 0.0);
 }
 
 TEST(Optimizer, HighFrequencyForcesWideRules) {

@@ -194,20 +194,28 @@ TEST_F(ParallelFlowFixture, CornersBitIdenticalAtOneAndEightThreads) {
 }
 
 TEST_F(ParallelFlowFixture, SmartNdrBitIdenticalAcrossThreadCounts) {
-  // End-to-end determinism: training, scoring, and signoff all run through
-  // the parallel engine, and the committed assignment must not depend on
-  // the thread count.
-  ndr::OptimizerOptions opt;
-  opt.threads = 1;
-  const ndr::SmartNdrResult serial =
-      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
-  opt.threads = 8;
-  const ndr::SmartNdrResult parallel =
-      ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
-  EXPECT_EQ(serial.assignment, parallel.assignment);
-  EXPECT_EQ(serial.final_eval.power.total_power,
-            parallel.final_eval.power.total_power);
-  EXPECT_EQ(parallel.stats.threads_used, 8);
+  // End-to-end determinism: scoring and signoff (and, under the models
+  // ablation, predictor training) all run through the parallel engine,
+  // and the committed assignment must not depend on the thread count.
+  for (const ndr::Scoring scoring :
+       {ndr::OptimizerOptions{}.scoring, ndr::Scoring::kModels}) {
+    SCOPED_TRACE(static_cast<int>(scoring));
+    ndr::OptimizerOptions opt;
+    opt.scoring = scoring;
+    opt.threads = 1;
+    const ndr::SmartNdrResult serial =
+        ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
+    opt.threads = 8;
+    const ndr::SmartNdrResult parallel =
+        ndr::optimize_smart_ndr(f.cts.tree, f.design, f.tech, f.nets, opt);
+    EXPECT_EQ(serial.assignment, parallel.assignment);
+    EXPECT_EQ(serial.final_eval.power.total_power,
+              parallel.final_eval.power.total_power);
+    EXPECT_EQ(parallel.stats.threads_used, 8);
+    if (scoring == ndr::Scoring::kModels) {
+      EXPECT_GT(parallel.train_report.train_samples, 0);
+    }
+  }
 }
 
 class ExactCacheFixture : public ::testing::Test {

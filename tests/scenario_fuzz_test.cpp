@@ -73,12 +73,6 @@ void expect_eval_bitwise(const ndr::FlowEvaluation& a,
   EXPECT_EQ(a.feasible(), b.feasible());
 }
 
-ndr::OptimizerOptions exact_options() {
-  ndr::OptimizerOptions o;
-  o.use_models = false;  // exact scoring: no model-training cost per run.
-  return o;
-}
-
 // ---- bitwise determinism --------------------------------------------------
 
 TEST(ScenarioFuzz, EvaluateThreadInvariance) {
@@ -108,17 +102,17 @@ TEST(ScenarioFuzz, OptimizeThreadAndBudgetInvariance) {
     SCOPED_TRACE(s.label());
     const workload::DomainWorkload w = fuzz::build(s, default_tech());
 
-    ndr::OptimizerOptions base = exact_options();
+    ndr::OptimizerOptions base;
     base.threads = 1;
     const ndr::SmartNdrResult a = ndr::optimize_smart_ndr(
         w.tree, w.design, default_tech(), w.nets, base);
 
-    ndr::OptimizerOptions threaded = exact_options();
+    ndr::OptimizerOptions threaded;
     threaded.threads = 8;
     const ndr::SmartNdrResult b = ndr::optimize_smart_ndr(
         w.tree, w.design, default_tech(), w.nets, threaded);
 
-    ndr::OptimizerOptions budgeted = exact_options();
+    ndr::OptimizerOptions budgeted;
     budgeted.threads = 8;
     budgeted.geometry_budget_bytes = 32 * 1024;  // forces LRU eviction.
     const ndr::SmartNdrResult c = ndr::optimize_smart_ndr(
@@ -229,9 +223,9 @@ TEST(ScenarioFuzz, RaisingActivityNeverPicksCheaperRules) {
     }
 
     const ndr::SmartNdrResult a = ndr::optimize_smart_ndr(
-        low.tree, low.design, default_tech(), low.nets, exact_options());
+        low.tree, low.design, default_tech(), low.nets);
     const ndr::SmartNdrResult b = ndr::optimize_smart_ndr(
-        high.tree, high.design, default_tech(), high.nets, exact_options());
+        high.tree, high.design, default_tech(), high.nets);
 
     for (const netlist::Net& net : low.nets.nets) {
       if (low.design.clock_domains.node_toggle_weight(net.driver) >= 1.0) {
@@ -263,9 +257,9 @@ TEST(ScenarioFuzz, NeutralDomainGraphDegeneratesBitwise) {
     plain.clock_domains = netlist::ClockDomainMap();
 
     const ndr::SmartNdrResult a = ndr::optimize_smart_ndr(
-        w.tree, w.design, default_tech(), w.nets, exact_options());
+        w.tree, w.design, default_tech(), w.nets);
     const ndr::SmartNdrResult b = ndr::optimize_smart_ndr(
-        w.tree, plain, default_tech(), w.nets, exact_options());
+        w.tree, plain, default_tech(), w.nets);
 
     EXPECT_EQ(a.assignment, b.assignment);
     EXPECT_EQ(a.final_eval.power.switched_cap,

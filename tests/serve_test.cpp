@@ -105,67 +105,54 @@ TEST(SharedCache, TechParsedOncePerContent) {
   serve::SharedCache cache;
   flow::FlowConfig c = small_config(design);
 
-  serve::SharedCache::Lease first = cache.acquire(c);
-  ASSERT_TRUE(first.valid);
-  serve::SharedCache::Lease second = cache.acquire(c);
-  ASSERT_TRUE(second.valid);
-  EXPECT_EQ(first.world.tech.get(), second.world.tech.get());  // shared.
+  const auto first = cache.acquire(c);
+  ASSERT_NE(first, nullptr);
+  const auto second = cache.acquire(c);
+  EXPECT_EQ(first.get(), second.get());  // shared.
   EXPECT_EQ(cache.stats().tech_misses, 1);
   EXPECT_EQ(cache.stats().tech_hits, 1);
 }
 
-TEST(SharedCache, PredictorHarvestedThenReusedBitwise) {
-  const std::string design = design_file("serve_cache_p.txt", 48, 7);
+TEST(SharedCache, ModelsScoringTrainsInRunAndMatchesCachelessRun) {
+  // The learned-model ablation trains in every run, cache or not; the
+  // shared technology changes cost, never bits.
+  const std::string design = design_file("serve_cache_m.txt", 48, 7);
+  flow::FlowConfig c = small_config(design);
+  c.scoring = "models";
   serve::SharedCache cache;
-
-  serve::JobOutcome first = serve::execute_job(small_config(design), &cache);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(cache.stats().predictor_misses, 1);
-  EXPECT_EQ(cache.stats().predictor_stores, 1);
-
-  serve::JobOutcome second = serve::execute_job(small_config(design), &cache);
-  EXPECT_EQ(cache.stats().predictor_hits, 1);
-  expect_outcome_eq(first, second);
-
-  // And both identical to a no-cache run: reuse changes cost, not bits.
-  serve::JobOutcome bare = serve::execute_job(small_config(design), nullptr);
-  expect_outcome_eq(bare, second);
-}
-
-TEST(SharedCache, PredictorKeyTracksTrainingSamples) {
-  const std::string design = design_file("serve_cache_k.txt", 32, 9);
-  serve::SharedCache cache;
-  flow::FlowConfig a = small_config(design);
-  flow::FlowConfig b = small_config(design);
-  b.training_samples = 80;
-  EXPECT_NE(cache.acquire(a).predictor_key, cache.acquire(b).predictor_key);
-
-  flow::FlowConfig no_models = small_config(design);
-  no_models.scoring = "exact_net";
-  EXPECT_TRUE(cache.acquire(no_models).predictor_key.empty());
+  for (int run = 0; run < 2; ++run) {
+    serve::JobOutcome cached = serve::execute_job(c, &cache);
+    ASSERT_TRUE(cached.ok()) << cached.status.to_string();
+    ASSERT_TRUE(cached.result->smart);
+    EXPECT_GT(cached.result->smart->stats.train_seconds, 0.0);
+    EXPECT_FALSE(cached.result->smart->train_report.quality.empty());
+    EXPECT_TRUE(cached.feasible());
+    serve::JobOutcome bare = serve::execute_job(c, nullptr);
+    expect_outcome_eq(bare, cached);
+  }
+  EXPECT_EQ(cache.stats().predictor_hits, 0);
+  EXPECT_EQ(cache.stats().predictor_misses, 0);
 }
 
 TEST(SharedCache, MissingInputsNeverMaskTheCanonicalError) {
   serve::SharedCache cache;
 
-  // Missing design, default tech: the lease still carries the shared
-  // default technology (no predictor key — nothing to fingerprint), and
-  // the job itself reports the canonical loader error.
+  // Missing design, default tech: the cache still hands out the shared
+  // default technology, and the job itself reports the canonical loader
+  // error.
   flow::FlowConfig no_design =
       small_config(temp_path("serve_cache_missing.txt"));
-  serve::SharedCache::Lease lease = cache.acquire(no_design);
-  EXPECT_TRUE(lease.valid);
-  EXPECT_TRUE(lease.predictor_key.empty());
+  EXPECT_NE(cache.acquire(no_design), nullptr);
   serve::JobOutcome out = serve::execute_job(no_design, &cache);
   EXPECT_EQ(out.status.code(), StatusCode::kNotFound);
 
-  // Missing tech file: nothing to share — invalid lease, and the job's
-  // Session walks the loaders itself (design first, then tech) for the
-  // same diagnostics as the standalone CLI.
+  // Missing tech file: nothing to share — null, and the job's Session
+  // walks the loaders itself (design first, then tech) for the same
+  // diagnostics as the standalone CLI.
   flow::FlowConfig no_tech =
       small_config(design_file("serve_cache_nt.txt", 32, 6));
   no_tech.tech_path = temp_path("serve_cache_missing_tech.txt");
-  EXPECT_FALSE(cache.acquire(no_tech).valid);
+  EXPECT_EQ(cache.acquire(no_tech), nullptr);
   serve::JobOutcome out2 = serve::execute_job(no_tech, &cache);
   EXPECT_EQ(out2.status.code(), StatusCode::kNotFound);
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "tech/buffer_lib.hpp"
 #include "tech/routing_rule.hpp"
@@ -207,6 +209,90 @@ TEST(Technology, ParseCustomRules) {
       "blanket_rule = 1W3S\n");
   EXPECT_EQ(t.rules.size(), 2);
   EXPECT_EQ(t.rules.blanket_rule().name, "1W3S");
+}
+
+TEST(Technology, DefaultTechRoundTripsThroughText) {
+  // The built-in technology passes every domain check of the loader.
+  const Technology t = Technology::make_default_45nm();
+  const Technology u = Technology::from_text(t.to_text(), "default.tech");
+  EXPECT_EQ(u.to_text(), t.to_text());
+}
+
+/// The ParseError message `text` raises, or "" when it loads.
+std::string parse_error_of(const std::string& text) {
+  try {
+    Technology::from_text(text, "t.tech");
+  } catch (const common::ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Technology, PositiveScalarsRejectZeroNegativeAndNonFinite) {
+  for (const char* key :
+       {"vdd", "em_crest_factor", "layer.min_width", "layer.min_space",
+        "layer.r_sheet", "layer.c_area", "layer.em_jmax"}) {
+    for (const char* bad : {"0", "-0.5", "inf", "1e999"}) {
+      const std::string err =
+          parse_error_of("# header\n" + std::string(key) + " = " + bad + "\n");
+      EXPECT_NE(err.find("t.tech:2:"), std::string::npos)
+          << key << " = " << bad << ": " << err;
+    }
+  }
+  const std::string err = parse_error_of("layer.r_sheet = -0.5\n");
+  EXPECT_NE(err.find("layer.r_sheet must be finite and > 0"),
+            std::string::npos)
+      << err;
+}
+
+TEST(Technology, NonNegativeScalarsAcceptZeroRejectNegative) {
+  for (const char* key :
+       {"miller_delay", "miller_power", "aggressor_activity",
+        "layer.c_fringe", "layer.k_couple", "layer.s_offset",
+        "layer.sigma_width", "layer.sigma_thickness"}) {
+    EXPECT_EQ(parse_error_of(std::string(key) + " = 0\n"), "") << key;
+    const std::string err = parse_error_of(std::string(key) + " = -1\n");
+    EXPECT_NE(err.find("t.tech:1:"), std::string::npos) << key << ": " << err;
+    EXPECT_NE(err.find(">= 0"), std::string::npos) << key << ": " << err;
+  }
+}
+
+TEST(Technology, RuleMultipliersMustBePositive) {
+  EXPECT_EQ(parse_error_of("rule = 1W1S 1 1\nrule = 2W2S 2 2\n"), "");
+  for (const char* bad : {"rule = 1W1S 0 1\n", "rule = 1W1S 1 -2\n",
+                          "rule = 1W1S 1e999 1\n"}) {
+    const std::string err = parse_error_of(bad);
+    EXPECT_NE(err.find("t.tech:1:"), std::string::npos) << bad << err;
+  }
+  EXPECT_NE(parse_error_of("rule = 1W1S 1 -2\n").find("spacing multiplier"),
+            std::string::npos);
+}
+
+TEST(Technology, BufferFieldDomains) {
+  // NAME RES CAP TINTR EINT CMAX SSENS; the library default is valid.
+  const std::string ok = "buffer = B 300 6e-15 2e-11 1e-14 2.5e-13 0.15\n";
+  EXPECT_EQ(parse_error_of(ok), "");
+  EXPECT_EQ(parse_error_of("buffer = B 300 6e-15 0 0 2.5e-13 0\n"), "");
+  for (const char* bad : {"buffer = B 0 6e-15 2e-11 1e-14 2.5e-13 0.15\n",
+                          "buffer = B 300 -6e-15 2e-11 1e-14 2.5e-13 0.15\n",
+                          "buffer = B 300 6e-15 -1 1e-14 2.5e-13 0.15\n",
+                          "buffer = B 300 6e-15 2e-11 -1 2.5e-13 0.15\n",
+                          "buffer = B 300 6e-15 2e-11 1e-14 0 0.15\n",
+                          "buffer = B 300 6e-15 2e-11 1e-14 2.5e-13 -1\n"}) {
+    const std::string err = parse_error_of(bad);
+    EXPECT_NE(err.find("t.tech:1:"), std::string::npos) << bad << err;
+    EXPECT_NE(err.find("buffer "), std::string::npos) << bad << err;
+  }
+}
+
+TEST(Technology, LoaderReportsDomainErrorAsParseError) {
+  const std::string path = ::testing::TempDir() + "tech_test_em.tech";
+  std::ofstream(path) << "vdd = 1.0\nlayer.em_jmax = -1\n";
+  const common::Result<Technology> r = load_technology_file(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), common::StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find(path + ":2:"), std::string::npos)
+      << r.status().message();
 }
 
 }  // namespace

@@ -166,14 +166,14 @@ void print_usage(std::ostream& os) {
       "               (load in chrome://tracing or Perfetto).\n"
       "\n"
       "optimizer keys (same --flag / config-key duality):\n"
-      "  --scoring models|exact_net|full_sta, --training-samples N,\n"
+      "  --scoring exact_net|models|full_sta: candidate scoring (default\n"
+      "               exact_net; models and full_sta are the paper's\n"
+      "               ablations), --training-samples N (models only),\n"
       "  --slew-margin F, --uncertainty-margin F, --em-margin F,\n"
-      "  --skew-margin F, --max-passes N, --max-repair-rounds N.\n"
+      "  --skew-margin F (guard bands in [0, 1)), --max-passes N,\n"
+      "  --max-repair-rounds N.\n"
       "anneal keys:\n"
-      "  --anneal-t-start-frac F, --anneal-t-end-frac F, --prewarm BOOL\n"
-      "  (batched exact-eval prewarm of the anneal memo, default true;\n"
-      "  results are bitwise identical either way — false measures the\n"
-      "  lazy path).\n"
+      "  --anneal-t-start-frac F, --anneal-t-end-frac F (> 0).\n"
       "sweep keys (sndr dse; also usable on run for a single point):\n"
       "  --power-weight F: objective weight on switched cap (> 0; 1.0 is\n"
       "               the bitwise-neutral default). The DSE power axis.\n"
